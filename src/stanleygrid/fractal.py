@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Grid, GridCoord, MalformedStringError, _SHARED
-from .radix import canonicalize, is_canonical
+from .grid import Grid, GridCoord, MalformedStringError, _SHARED, _check_ternary, _coord_of
+from .radix import canonicalize
 
 
 class WindowShapeError(ValueError):
@@ -118,19 +118,14 @@ def zoom_out(window_cells: list[list[str]] | tuple[tuple[str, ...], ...]) -> lis
 
 
 def locate(w: str) -> GridCoord:
-    """Coordinate of the canonical string w, one descend step per digit.
+    """Coordinate of the canonical string w, one halfZ descent step per digit.
 
     Starting from the origin (whose halfZ chain is a fixed point), digit
-    d picks the d-th member of the current cell's halfZ.
+    d picks the d-th member of the current cell's halfZ; grid.cell is the
+    inverse.
     """
-    if not w or any(ch not in "012" for ch in w):
-        raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
-    if not is_canonical(w):
-        raise MalformedStringError(f"{w!r} has a leading zero")
-    coord = GridCoord(0, 0)
-    for ch in w:
-        coord = descend(coord, int(ch))
-    return coord
+    _check_ternary(w)
+    return GridCoord(*_coord_of(w))
 
 
 def ternary_successor(w: str) -> tuple[str, int]:

@@ -5,8 +5,12 @@ is obtained cell by cell from the row above via the base-3/2 add-2 rewrite.
 Every canonical {0,1,2}-string appears in exactly one cell, and the base-3
 values of row i are exactly the i-th greedy 3-free row.
 
-Columns are generated lazily and memoized: walking a column is just
-iterating add_two from its binary seed.
+The string <-> cell bijection runs through the halfZ nesting (see
+fractal): each digit of a string picks one cell of a 3 x 2 block, so a
+string reaches its cell in one step per digit, and zooming a cell out to
+the origin reads its digits back.  Both directions take time linear in
+the string length and keep no state; the add-2 column rule is not used
+here and stays an independent check on this map.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .radix import BASE_3_2, add_two, evaluate, is_canonical
+from .radix import BASE_3_2, evaluate, is_canonical
 
 
 class MalformedStringError(ValueError):
@@ -42,30 +46,58 @@ def _check_ternary(w: str) -> None:
         raise MalformedStringError(f"{w!r} has a leading zero")
 
 
-class Grid:
-    """Lazily materialized grid; cells are memoized per column."""
+def _coord_of(w: str) -> tuple[int, int]:
+    """(row, col) of a validated string, one halfZ descent step per digit.
 
-    def __init__(self):
-        self._columns: dict[int, list[str]] = {}
+    Number the six cells of the 3 x 2 block at (3a, 2b) row by row,
+    k = 2 * (row % 3) + col % 2.  The upper halfZ anchored at (a, b) is
+    k = 0, 1, 2 with its prefix at (2a, b); the lower one is k = 3, 4, 5
+    with its prefix at (2a + 1, b).  So from prefix cell (p, q), digit d
+    leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q).
+    The origin is its own prefix, so the walk starts there.
+    """
+    p = q = 0
+    for ch in w:
+        r, c = divmod(3 * (p & 1) + int(ch), 2)
+        p = 3 * (p >> 1) + r
+        q = 2 * q + c
+    return p, q
 
-    def cell(self, i: int, j: int) -> str:
-        if i < 0:
-            raise ValueError(f"row index must be >= 0, got {i}")
-        col = self._columns.get(j)
-        if col is None:
-            col = [binary_string(j)]
-            self._columns[j] = col
-        while len(col) <= i:
-            col.append(add_two(col[-1]))
-        return col[i]
 
+def _string_at(i: int, j: int) -> str:
+    """Inverse of _coord_of: the string in cell (i, j), for i, j >= 0.
 
-_SHARED = Grid()
+    Zooms out to the origin, one digit per level: cell (i, j) is block
+    cell k = 2 * (i % 3) + j % 2, its digit is k % 3, and its halfZ's
+    prefix sits at (2 * (i // 3) + k // 3, j // 2).
+    """
+    digits = []
+    while i or j:
+        a, r = divmod(i, 3)
+        k = 2 * r + (j & 1)
+        digits.append("012012"[k])
+        i = 2 * a + k // 3
+        j >>= 1
+    return "".join(reversed(digits)) or "0"
 
 
 def cell(i: int, j: int) -> str:
-    """Cell (i, j) of the shared grid instance."""
-    return _SHARED.cell(i, j)
+    """The string in cell (i, j), read digit by digit through the halfZ zoom."""
+    if i < 0:
+        raise ValueError(f"row index must be >= 0, got {i}")
+    if j < 0:
+        raise ValueError(f"column index must be >= 0, got {j}")
+    return _string_at(i, j)
+
+
+class Grid:
+    """The grid as an object; cells are computed from their coordinates, so it keeps no state."""
+
+    def cell(self, i: int, j: int) -> str:
+        return cell(i, j)
+
+
+_SHARED = Grid()
 
 
 def main_suffix(w: str) -> str:
@@ -81,37 +113,10 @@ def main_suffix(w: str) -> str:
 def row_of(w: str) -> int:
     """Row index of the unique cell containing the canonical string w.
 
-    Strategy: reduce to the main suffix s (same row, fewer candidate
-    columns), then scan columns j with len(binary_string(j)) <= len(s).
-    Column j holds s at row i only if [s] - [bin j] = 2i, so candidate
-    rows come from an exact Fraction subtraction and are confirmed by
-    walking the memoized column.
+    One halfZ descent step per digit, so linear in len(w).
     """
     _check_ternary(w)
-    s = main_suffix(w)
-    if not s:
-        return 0
-    target = evaluate(s, BASE_3_2)
-    L = len(s)
-    j = 0
-    while True:
-        b = binary_string(j)
-        if len(b) > L:
-            break
-        diff = target - evaluate(b, BASE_3_2)
-        if diff >= 0 and diff.denominator == 1 and diff.numerator % 2 == 0:
-            i = diff.numerator // 2
-            # confirm: add_two never shortens a string, so give up early
-            # if the column overshoots the target length
-            cur = b
-            step = 0
-            while step < i and len(cur) <= L:
-                cur = add_two(cur)
-                step += 1
-            if step == i and cur == s:
-                return i
-        j += 1
-    raise MalformedStringError(f"{w!r} not found in any column")  # unreachable for valid input
+    return _coord_of(w)[0]
 
 
 def value_fraction(w: str) -> Fraction:

@@ -301,6 +301,7 @@ def suite_grid(max_value: int) -> list[CheckResult]:
     # every short canonical string appears exactly once, where locate says
     big = grid.window(46, 64, g)
     seen: dict[str, tuple[int, int]] = {}
+    bad = 0
     for i in range(big.rows):
         for j in range(big.cols):
             s = big.cells[i][j]
