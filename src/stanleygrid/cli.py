@@ -39,6 +39,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    if args.row < 0:
+        raise ValueError(f"--row must be >= 0, got {args.row}")
+    if args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     if args.method == "greedy":
         cap_value, cap_rows = verify.resolve_caps()
         if args.limit > cap_value:
@@ -58,6 +62,8 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_cross(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rows = []
     if args.method in ("greedy", "both"):
         bound = greedy.first_term_bound(args.count)

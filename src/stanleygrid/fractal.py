@@ -78,19 +78,14 @@ def halfz_of(i: int, j: int, level: int = 0, grid: Grid | None = None) -> HalfZ:
     p, q = i, j
     for _ in range(level):
         p, q = zoom_coord(p, q)
-    r = p % 3
-    if r == 0 or (r == 1 and q % 2 == 0):
-        kind, a, b = "upper", p // 3, q // 2
-    else:
-        kind, a, b = "lower", p // 3, q // 2
-    anchor_coord = GridCoord(2 * a, b) if kind == "upper" else GridCoord(2 * a + 1, b)
-    members = tuple(descend(anchor_coord, d) for d in range(3))
+    prefix = zoom_coord(p, q)        # upper prefixes sit on even rows, lower on odd
+    members = tuple(descend(prefix, d) for d in range(3))
     return HalfZ(
-        kind=kind,
-        anchor=(a, b),
+        kind="upper" if prefix.row % 2 == 0 else "lower",
+        anchor=(prefix.row // 2, prefix.col),
         level=level,
         members=members,  # type: ignore[arg-type]
-        lcp=g.cell(*anchor_coord),
+        lcp=g.cell(*prefix),
     )
 
 

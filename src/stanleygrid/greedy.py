@@ -3,11 +3,13 @@
 Integers are assigned in increasing order; each n goes into the first row
 it does not complete a 3-term arithmetic progression in.  Row 0 is the
 Stanley sequence (integers with no 2 in base 3), row 1 starts 2, 5, 6, ...
-The sieve keeps one "forbidden" byte array per row: when n enters row j,
-every value 2*n - a (a already in row j) becomes forbidden in row j, since
-a, n, 2n - a would be an AP.  Those strided updates are done with numpy on
-a buffer shared with a plain bytearray, so the per-candidate membership
-test stays a cheap byte lookup.
+Row j is therefore the greedy 3-free sequence built from the values that
+rows 0..j-1 rejected, so the sieve fills one row at a time through a
+single "forbidden" byte array: when n enters the row, every value 2*n - a
+(a already in the row) becomes forbidden, since a, n, 2n - a would be an
+AP.  Those strided updates are done with numpy on a buffer shared with a
+plain bytearray, so the per-candidate membership test stays a cheap byte
+lookup.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class GreedyPartition:
 
     def first_terms(self, count: int) -> list[int]:
         """First element of each of the first `count` rows (the cross sequence)."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         if count > len(self.rows):
             need = first_term_bound(count)
             raise InsufficientRangeError(
@@ -102,45 +106,37 @@ def build_partition(limit: int, max_rows: int = 10_000) -> GreedyPartition:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
 
     assignment = np.zeros(limit, dtype=np.int32)
-    rows: list[list[int]] = []
-    forb_bytes: list[bytearray] = []   # fast scalar reads
-    forb_np: list[np.ndarray] = []     # same memory, vectorized writes
-    term_buf: list[np.ndarray] = []    # terms as int64 for the stride update
-    term_len: list[int] = []
+    rows: list[tuple[int, ...]] = []
+    forbidden = bytearray(limit)                            # fast scalar reads
+    forbidden_np = np.frombuffer(forbidden, dtype=np.uint8)  # same memory, vectorized writes
+    terms = np.empty(limit, dtype=np.int64)                 # the open row, for the stride update
+    left: Sequence[int] = range(limit)
 
-    for n in range(limit):
-        j = 0
-        opened = len(rows)
-        while j < opened and forb_bytes[j][n]:
-            j += 1
-        if j == opened:
-            if j >= max_rows:
-                raise RowCapError(f"more than {max_rows} rows needed below {limit}")
-            rows.append([])
-            ba = bytearray(limit)
-            forb_bytes.append(ba)
-            forb_np.append(np.frombuffer(ba, dtype=np.uint8))
-            term_buf.append(np.empty(16, dtype=np.int64))
-            term_len.append(0)
-
-        k = term_len[j]
-        if k:
-            idx = 2 * n - term_buf[j][:k]
-            idx = idx[idx < limit]          # idx > n >= 0 always
-            if idx.size:
-                forb_np[j][idx] = 1
-        buf = term_buf[j]
-        if k == len(buf):
-            buf = np.resize(buf, 2 * k)
-            term_buf[j] = buf
-        buf[k] = n
-        term_len[j] = k + 1
-        rows[j].append(n)
-        assignment[n] = j
+    while left:
+        j = len(rows)
+        if j >= max_rows:
+            raise RowCapError(f"more than {max_rows} rows needed below {limit}")
+        forbidden_np[left[0]:] = 0              # nothing below left[0] is read again
+        rejected: list[int] = []
+        k = 0
+        for n in left:
+            if forbidden[n]:
+                rejected.append(n)
+                continue
+            if k:
+                idx = 2 * n - terms[:k]
+                idx = idx[idx < limit]          # idx > n >= 0 always
+                if idx.size:
+                    forbidden_np[idx] = 1
+            terms[k] = n
+            k += 1
+        assignment[terms[:k]] = j
+        rows.append(tuple(terms[:k].tolist()))
+        left = rejected
 
     return GreedyPartition(
         bound=limit,
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(rows),
         _assignment=assignment,
     )
 

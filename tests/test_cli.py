@@ -53,6 +53,22 @@ def test_sequence_empty_row(capsys):
     assert code == 0 and out == ""
 
 
+@pytest.mark.parametrize("method", ["greedy", "grid"])
+@pytest.mark.parametrize("row,limit", [("-1", "10"), ("0", "0"), ("0", "-5")])
+def test_sequence_rejects_negative_row_and_empty_limit(capsys, method, row, limit):
+    code, out, err = run_cli(capsys, "sequence", "--row", row, "--limit", limit,
+                             "--method", method)
+    assert code == 2 and out == "" and "must be" in err
+
+
+@pytest.mark.parametrize("method", ["greedy", "grid", "both"])
+def test_cross_rejects_negative_count(capsys, method):
+    code, out, err = run_cli(capsys, "cross", "--count", "-1", "--method", method)
+    assert code == 2 and out == "" and "--count" in err
+    code, out, _ = run_cli(capsys, "cross", "--count", "0", "--method", method)
+    assert code == 0 and out == ""
+
+
 def test_sequence_json(capsys):
     code, out, _ = run_cli(capsys, "sequence", "--row", "0", "--limit", "5", "--json")
     assert code == 0 and json.loads(out) == [0, 1, 3, 4]

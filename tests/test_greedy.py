@@ -1,7 +1,11 @@
 """The greedy sieve into 3-free rows."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from stanleygrid import grid
 from stanleygrid.greedy import (
     InsufficientRangeError,
     RowCapError,
@@ -11,6 +15,7 @@ from stanleygrid.greedy import (
     is_ap_free_extension,
     row_prefix_base3,
 )
+from stanleygrid.radix import BASE_3, represent
 
 ROW0_PREFIX = [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
 ROW1_PREFIX = [2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45, 54, 83]
@@ -82,7 +87,6 @@ def test_small_numbers_land_where_expected(part729):
 
 
 def test_first_terms_follow_base32(part729):
-    from stanleygrid.radix import represent
     for i in range(part729.num_rows):
         assert part729.row(i)[0] == int(represent(2 * i), 3)
 
@@ -123,3 +127,89 @@ def test_large_and_small_agree():
     big = build_partition(3**6)
     for i in range(small.num_rows):
         assert list(small.row(i)) == [t for t in big.row(i) if t < 120]
+
+
+def _build_partition_by_column(limit, max_rows=10_000):
+    """Reference sieve: values in increasing order, each probed against every open row.
+
+    Keeps one forbidden byte array and one term buffer per row; returns
+    (rows, assignment) for comparison with build_partition.
+    """
+    assignment = np.zeros(limit, dtype=np.int32)
+    rows = []
+    forb_bytes = []
+    forb_np = []
+    term_buf = []
+    term_len = []
+    for n in range(limit):
+        j = 0
+        opened = len(rows)
+        while j < opened and forb_bytes[j][n]:
+            j += 1
+        if j == opened:
+            if j >= max_rows:
+                raise RowCapError(f"more than {max_rows} rows needed below {limit}")
+            rows.append([])
+            ba = bytearray(limit)
+            forb_bytes.append(ba)
+            forb_np.append(np.frombuffer(ba, dtype=np.uint8))
+            term_buf.append(np.empty(16, dtype=np.int64))
+            term_len.append(0)
+        k = term_len[j]
+        if k:
+            idx = 2 * n - term_buf[j][:k]
+            idx = idx[idx < limit]
+            if idx.size:
+                forb_np[j][idx] = 1
+        buf = term_buf[j]
+        if k == len(buf):
+            buf = np.resize(buf, 2 * k)
+            term_buf[j] = buf
+        buf[k] = n
+        term_len[j] = k + 1
+        rows[j].append(n)
+        assignment[n] = j
+    return tuple(tuple(r) for r in rows), assignment
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 41, 100, 3**6, 3**9])
+def test_row_by_row_sieve_matches_column_order(limit):
+    rows, assignment = _build_partition_by_column(limit)
+    part = build_partition(limit)
+    assert part.rows == rows
+    assert [part.row_index(n) for n in range(limit)] == assignment.tolist()
+
+
+def test_row_cap_boundary():
+    rows, _ = _build_partition_by_column(100)
+    k = len(rows)
+    assert build_partition(100, max_rows=k).rows == rows
+    with pytest.raises(RowCapError) as exc:
+        build_partition(100, max_rows=k - 1)
+    assert str(exc.value) == f"more than {k - 1} rows needed below 100"
+
+
+def test_sieve_memory_does_not_grow_with_rows():
+    # 93 rows open below 3^10; one forbidden array per row would need
+    # 93 * 3^10 bytes (5.2 MiB) on top of the rows themselves.
+    tracemalloc.start()
+    try:
+        part = build_partition(3**10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.num_rows == 93
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_every_row_matches_the_digit_map():
+    part = build_partition(3**10)
+    assert part.num_rows == 93
+    for n in range(3**10):
+        assert part.row_index(n) == grid.row_of(represent(n, BASE_3)), n
+
+
+def test_first_terms_rejects_negative_count(part729):
+    with pytest.raises(ValueError):
+        part729.first_terms(-1)
+    assert part729.first_terms(0) == []
