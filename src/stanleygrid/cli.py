@@ -64,15 +64,19 @@ def cmd_sequence(args) -> int:
 def cmd_cross(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    cap_value, cap_rows = verify.resolve_caps()
+    if args.count > cap_rows:
+        raise verify.CapExceededError(
+            f"--count {args.count} exceeds row cap {cap_rows} (raise via {verify.CAP_ENV_VAR})"
+        )
     rows = []
     if args.method in ("greedy", "both"):
         bound = greedy.first_term_bound(args.count)
-        cap_value, _ = verify.resolve_caps()
         if bound > cap_value:
             raise verify.CapExceededError(
                 f"{args.count} rows need sieving to {bound}, beyond cap {cap_value}"
             )
-        part = greedy.build_partition(bound)
+        part = greedy.build_partition(bound, max_rows=cap_rows)
         rows = greedy.cross_sequence(part, args.count)
     g_rows = []
     if args.method in ("grid", "both"):

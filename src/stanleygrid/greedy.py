@@ -4,12 +4,16 @@ Integers are assigned in increasing order; each n goes into the first row
 it does not complete a 3-term arithmetic progression in.  Row 0 is the
 Stanley sequence (integers with no 2 in base 3), row 1 starts 2, 5, 6, ...
 Row j is therefore the greedy 3-free sequence built from the values that
-rows 0..j-1 rejected, so the sieve fills one row at a time through a
-single "forbidden" byte array: when n enters the row, every value 2*n - a
-(a already in the row) becomes forbidden, since a, n, 2n - a would be an
-AP.  Those strided updates are done with numpy on a buffer shared with a
-plain bytearray, so the per-candidate membership test stays a cheap byte
-lookup.
+rows 0..j-1 rejected, so the sieve fills one row at a time through a single
+"forbidden" byte array.  At the start of a row the array holds exactly the
+values earlier rows took; when n enters the row, every value 2*n - a (a
+already in the row) becomes forbidden, since a, n, 2n - a would be an AP.
+The next candidate is then the first zero byte after n, found by
+bytearray.find; a mark 2m - a always lies above m, so a value once accepted
+is never marked.  The array is 2*limit long, so every mark 2n - a (< 2n)
+lands inside it, and seen backwards it turns 2n - a into an offset plus a:
+one numpy scatter with the row's term buffer as the index array marks all
+of n's values at once.
 """
 
 from __future__ import annotations
@@ -105,34 +109,40 @@ def build_partition(limit: int, max_rows: int = 10_000) -> GreedyPartition:
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
 
-    assignment = np.zeros(limit, dtype=np.int32)
+    assignment = np.full(limit, -1, dtype=np.int32)         # -1: in no row yet
     rows: list[tuple[int, ...]] = []
-    forbidden = bytearray(limit)                            # fast scalar reads
+    forbidden = bytearray(2 * limit)                        # every mark 2n - a < 2 * limit fits
     forbidden_np = np.frombuffer(forbidden, dtype=np.uint8)  # same memory, vectorized writes
-    terms = np.empty(limit, dtype=np.int64)                 # the open row, for the stride update
-    left: Sequence[int] = range(limit)
+    rev = forbidden_np[::-1]                                # forbidden[m] is rev[top - m]
+    top = 2 * limit - 1
+    terms = np.empty(limit, dtype=np.int64)                 # the open row, as indices into rev
+    start = 0                                               # every value below is in a row
 
-    while left:
+    while True:
+        # Forbid what earlier rows took; this also wipes the last row's marks.
+        forbidden_np[start:limit] = assignment[start:] >= 0
+        n = forbidden.find(0, start, limit)
+        if n < 0:
+            break
         j = len(rows)
         if j >= max_rows:
             raise RowCapError(f"more than {max_rows} rows needed below {limit}")
-        forbidden_np[left[0]:] = 0              # nothing below left[0] is read again
-        rejected: list[int] = []
+        start = n
+        row: list[int] = []
+        s = 0                                   # terms[:s] now only mark at or above limit
         k = 0
-        for n in left:
-            if forbidden[n]:
-                rejected.append(n)
-                continue
-            if k:
-                idx = 2 * n - terms[:k]
-                idx = idx[idx < limit]          # idx > n >= 0 always
-                if idx.size:
-                    forbidden_np[idx] = 1
+        while n >= 0:
+            cut = 2 * n - limit
+            while s < k and row[s] <= cut:
+                s += 1
+            if s < k:
+                rev[top - 2 * n:][terms[s:k]] = 1   # forbidden[2n - a] = 1 for a in terms[s:k]
             terms[k] = n
+            row.append(n)
             k += 1
+            n = forbidden.find(0, n + 1, limit)
         assignment[terms[:k]] = j
-        rows.append(tuple(terms[:k].tolist()))
-        left = rejected
+        rows.append(tuple(row))
 
     return GreedyPartition(
         bound=limit,

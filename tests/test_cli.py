@@ -94,6 +94,29 @@ def test_cross_cap(capsys):
     assert code == 4 and "cap" in err
 
 
+@pytest.mark.parametrize("method", ["greedy", "grid", "both"])
+def test_cross_obeys_the_row_cap(capsys, monkeypatch, method):
+    monkeypatch.setenv("STANLEY_GRID_CAP", "100000,10")
+    code, out, err = run_cli(capsys, "cross", "--count", "40", "--method", method)
+    assert code == 4 and out == "" and "row cap 10" in err
+    code, out, _ = run_cli(capsys, "cross", "--count", "10", "--method", method)
+    assert code == 0 and len(out.splitlines()) == 10
+
+
+def test_cross_sieves_under_the_row_cap(capsys, monkeypatch):
+    seen = []
+    build = cli.greedy.build_partition
+
+    def spy(limit, max_rows=10_000):
+        seen.append(max_rows)
+        return build(limit, max_rows=max_rows)
+
+    monkeypatch.setattr(cli.greedy, "build_partition", spy)
+    monkeypatch.setenv("STANLEY_GRID_CAP", "100000,12")
+    code, _, _ = run_cli(capsys, "cross", "--count", "12", "--method", "greedy")
+    assert code == 0 and seen == [12]
+
+
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STANLEY_GRID_CAP", "50")
     code, _, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100")

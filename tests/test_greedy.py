@@ -180,6 +180,16 @@ def test_row_by_row_sieve_matches_column_order(limit):
     assert [part.row_index(n) for n in range(limit)] == assignment.tolist()
 
 
+def test_every_limit_up_to_243_matches_column_order():
+    # Small bounds put marks 2n - a into the [limit, 2 * limit) padding and
+    # make the candidate search stop at limit - 1 in every possible way.
+    for limit in range(1, 3**5 + 1):
+        rows, assignment = _build_partition_by_column(limit)
+        part = build_partition(limit)
+        assert part.rows == rows, limit
+        assert [part.row_index(n) for n in range(limit)] == assignment.tolist(), limit
+
+
 def test_row_cap_boundary():
     rows, _ = _build_partition_by_column(100)
     k = len(rows)
