@@ -16,7 +16,6 @@ from .fractal import (
 from .greedy import (
     GreedyPartition,
     InsufficientRangeError,
-    RowCapError,
     build_partition,
     cross_sequence,
     is_ap_free_extension,

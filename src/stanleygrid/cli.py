@@ -43,14 +43,13 @@ def cmd_sequence(args) -> int:
         raise ValueError(f"--row must be >= 0, got {args.row}")
     if args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    cap_value, _ = verify.resolve_caps()
+    if args.limit > cap_value:
+        raise verify.CapExceededError(
+            f"limit {args.limit} exceeds cap {cap_value} (raise via {verify.CAP_ENV_VAR})"
+        )
     if args.method == "greedy":
-        cap_value, cap_rows = verify.resolve_caps()
-        if args.limit > cap_value:
-            raise verify.CapExceededError(
-                f"limit {args.limit} exceeds cap {cap_value} (raise via {verify.CAP_ENV_VAR})"
-            )
-        part = greedy.build_partition(args.limit, max_rows=cap_rows)
-        values = list(part.row(args.row))
+        values = list(greedy.build_partition(args.limit).row(args.row))
     else:
         values = fractal.row_values_below(args.row, args.limit)
     if args.json:
@@ -76,7 +75,7 @@ def cmd_cross(args) -> int:
             raise verify.CapExceededError(
                 f"{args.count} rows need sieving to {bound}, beyond cap {cap_value}"
             )
-        part = greedy.build_partition(bound, max_rows=cap_rows)
+        part = greedy.build_partition(bound)
         rows = greedy.cross_sequence(part, args.count)
     g_rows = []
     if args.method in ("grid", "both"):
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
         hint = f" (a bound of {exc.required_bound} suffices)" if exc.required_bound else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_BOUND
-    except (verify.CapExceededError, greedy.RowCapError) as exc:
+    except verify.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (witness.ConstructionError,) as exc:

@@ -7,7 +7,9 @@ except in the last digit, and the shared prefix sits at a cell of the
 grid itself: upper prefixes at (2a, b), lower at (2a+1, b).  Replacing
 each halfZ by its prefix cell is therefore a zoom-out map under which the
 grid is a fixed point, and iterating it nests the halfZs into arbitrarily
-deep levels.
+deep levels.  The block arithmetic behind both directions of that map is
+owned by grid (_coord_of steps down, _zoom steps up); descend and
+zoom_coord here are one-line uses of it.
 
 Reading the grid along that nesting enumerates the canonical ternary
 strings in counting order, one digit of (n)_3 per nesting level, which is
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Grid, GridCoord, MalformedStringError, _SHARED, _check_ternary, _coord_of
+from .grid import Grid, GridCoord, MalformedStringError, _SHARED, _check_ternary, _coord_of, _zoom
 from .radix import canonicalize
 
 
@@ -38,16 +40,12 @@ class HalfZ:
 
     @property
     def lcp_coord(self) -> GridCoord:
-        a, b = self.anchor
-        return GridCoord(2 * a, b) if self.kind == "upper" else GridCoord(2 * a + 1, b)
+        return zoom_coord(*self.members[0])
 
 
 def zoom_coord(i: int, j: int) -> GridCoord:
     """Coordinate of the shared-prefix cell of the level-0 halfZ holding (i, j)."""
-    r = i % 3
-    if r == 0 or (r == 1 and j % 2 == 0):
-        return GridCoord(2 * (i // 3), j // 2)       # upper
-    return GridCoord(2 * (i // 3) + 1, j // 2)       # lower
+    return GridCoord(*_zoom(i, j)[:2])
 
 
 def descend(coord: GridCoord | tuple[int, int], d: int) -> GridCoord:
@@ -56,11 +54,7 @@ def descend(coord: GridCoord | tuple[int, int], d: int) -> GridCoord:
     Appending digit d to the string at coord yields the string at the
     returned cell, which is how traversal and locate walk the nesting.
     """
-    p, q = coord
-    a = p // 2
-    if p % 2 == 0:  # upper halfZ anchored (a, q)
-        return (GridCoord(3 * a, 2 * q), GridCoord(3 * a, 2 * q + 1), GridCoord(3 * a + 1, 2 * q))[d]
-    return (GridCoord(3 * a + 1, 2 * q + 1), GridCoord(3 * a + 2, 2 * q), GridCoord(3 * a + 2, 2 * q + 1))[d]
+    return GridCoord(*_coord_of("012"[d], *coord))
 
 
 def halfz_of(i: int, j: int, level: int = 0, grid: Grid | None = None) -> HalfZ:
@@ -171,9 +165,6 @@ def traversal(count: int, grid: Grid | None = None) -> list[tuple[str, GridCoord
 # ---------------------------------------------------------------------------
 # row contents by value, without materializing cells
 
-_VALUES_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 def row_values_by_length(row: int, length: int) -> tuple[int, ...]:
     """Sorted base-3 values of the length-`length` strings in grid row `row`.
 
@@ -182,10 +173,24 @@ def row_values_by_length(row: int, length: int) -> tuple[int, ...]:
     2a+1 (digits 1/2); running that recursion forward builds the value
     sets without touching any cell.
     """
+    return _row_values(row, length, {})
+
+
+_Memo = dict[tuple[int, int], tuple[int, ...]]
+
+
+def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
+    """row_values_by_length through the caller's memo, which lives as long as that call.
+
+    Row 3a+1 draws on two rows one digit shorter, so without a memo the
+    recursion would branch at every level.  A shorter string extends only
+    if it is not "0" (that would create a leading zero), the one string
+    worth 0, hence the `if v` filters.
+    """
     if row < 0 or length < 1:
         return ()
     key = (row, length)
-    got = _VALUES_MEMO.get(key)
+    got = memo.get(key)
     if got is not None:
         return got
     if length == 1:
@@ -193,28 +198,16 @@ def row_values_by_length(row: int, length: int) -> tuple[int, ...]:
     else:
         a, r = divmod(row, 3)
         if r == 0:
-            base = _extendable(2 * a, length - 1)
-            vals = tuple(sorted(3 * v + d for v in base for d in (0, 1)))
+            base = _row_values(2 * a, length - 1, memo)
+            vals = tuple(sorted(3 * v + d for v in base if v for d in (0, 1)))
         elif r == 1:
-            hi = _extendable(2 * a, length - 1)
-            lo = _extendable(2 * a + 1, length - 1)
-            vals = tuple(sorted([3 * v + 2 for v in hi] + [3 * v for v in lo]))
+            hi = _row_values(2 * a, length - 1, memo)
+            lo = _row_values(2 * a + 1, length - 1, memo)
+            vals = tuple(sorted([3 * v + 2 for v in hi if v] + [3 * v for v in lo if v]))
         else:
-            base = _extendable(2 * a + 1, length - 1)
-            vals = tuple(sorted(3 * v + d for v in base for d in (1, 2)))
-    _VALUES_MEMO[key] = vals
-    return vals
-
-
-def _extendable(row: int, length: int) -> tuple[int, ...]:
-    """Row values whose strings may grow by one digit: everything but "0".
-
-    The cell "0" is the one canonical string that cannot take a suffix
-    (that would create a leading zero), so it is dropped at length 1.
-    """
-    vals = row_values_by_length(row, length)
-    if length == 1:
-        return tuple(v for v in vals if v != 0)
+            base = _row_values(2 * a + 1, length - 1, memo)
+            vals = tuple(sorted(3 * v + d for v in base if v for d in (1, 2)))
+    memo[key] = vals
     return vals
 
 
@@ -222,10 +215,11 @@ def row_values_below(row: int, bound: int) -> list[int]:
     """Sorted base-3 values of row `row` cells that are < bound."""
     if bound <= 0:
         return []
+    memo: _Memo = {}
     out: list[int] = []
     length = 1
     while 3 ** (length - 1) < bound:  # a length-L string is worth >= 3^(L-1), except "0"
-        out.extend(v for v in row_values_by_length(row, length) if v < bound)
+        out.extend(v for v in _row_values(row, length, memo) if v < bound)
         length += 1
     return sorted(out)
 
@@ -273,6 +267,7 @@ def check_zero_column(rows: int, grid: Grid | None = None) -> CheckReport:
     anyway).
     """
     g = grid if grid is not None else _SHARED
+    memo: _Memo = {}
     prev_val = -1
     checked = 0
     for i in range(rows):
@@ -289,7 +284,7 @@ def check_zero_column(rows: int, grid: Grid | None = None) -> CheckReport:
         candidates = [
             u
             for length in range(1, len(s) + 2)
-            for u in row_values_by_length(i, length)
+            for u in _row_values(i, length, memo)
         ]
         if candidates and min(candidates) != v:
             return CheckReport(

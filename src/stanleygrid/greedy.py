@@ -37,10 +37,6 @@ class InsufficientRangeError(ValueError):
         self.required_bound = required_bound
 
 
-class RowCapError(RuntimeError):
-    """The sieve tried to open more rows than the safety cap allows."""
-
-
 @dataclass(frozen=True)
 class GreedyPartition:
     """Result of sieving [0, bound): rows plus the value -> row map."""
@@ -102,12 +98,14 @@ def is_ap_free_extension(terms: Sequence[int] | Iterable[int], n: int) -> bool:
     return True
 
 
-def build_partition(limit: int, max_rows: int = 10_000) -> GreedyPartition:
-    """Sieve every n in [0, limit) into the greedy 3-free rows."""
+def build_partition(limit: int) -> GreedyPartition:
+    """Sieve every n in [0, limit) into the greedy 3-free rows.
+
+    Time and memory grow with limit alone (the rows below limit are fixed
+    by it), so callers bound the sieve by capping limit.
+    """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if max_rows < 1:
-        raise ValueError(f"max_rows must be >= 1, got {max_rows}")
 
     assignment = np.full(limit, -1, dtype=np.int32)         # -1: in no row yet
     rows: list[tuple[int, ...]] = []
@@ -124,9 +122,6 @@ def build_partition(limit: int, max_rows: int = 10_000) -> GreedyPartition:
         n = forbidden.find(0, start, limit)
         if n < 0:
             break
-        j = len(rows)
-        if j >= max_rows:
-            raise RowCapError(f"more than {max_rows} rows needed below {limit}")
         start = n
         row: list[int] = []
         s = 0                                   # terms[:s] now only mark at or above limit
@@ -141,7 +136,7 @@ def build_partition(limit: int, max_rows: int = 10_000) -> GreedyPartition:
             row.append(n)
             k += 1
             n = forbidden.find(0, n + 1, limit)
-        assignment[terms[:k]] = j
+        assignment[terms[:k]] = len(rows)
         rows.append(tuple(row))
 
     return GreedyPartition(

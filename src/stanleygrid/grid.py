@@ -8,9 +8,10 @@ values of row i are exactly the i-th greedy 3-free row.
 The string <-> cell bijection runs through the halfZ nesting (see
 fractal): each digit of a string picks one cell of a 3 x 2 block, so a
 string reaches its cell in one step per digit, and zooming a cell out to
-the origin reads its digits back.  Both directions take time linear in
-the string length and keep no state; the add-2 column rule is not used
-here and stays an independent check on this map.
+the origin reads its digits back.  This module owns that block numbering
+(_coord_of steps down, _zoom steps up; fractal only calls them).  Both
+directions take time linear in the string length and keep no state; the
+add-2 column rule is not used here and stays an independent check.
 """
 
 from __future__ import annotations
@@ -46,17 +47,16 @@ def _check_ternary(w: str) -> None:
         raise MalformedStringError(f"{w!r} has a leading zero")
 
 
-def _coord_of(w: str) -> tuple[int, int]:
-    """(row, col) of a validated string, one halfZ descent step per digit.
+def _coord_of(w: str, p: int = 0, q: int = 0) -> tuple[int, int]:
+    """(row, col) reached from the prefix cell (p, q) by appending w, one digit per step.
 
     Number the six cells of the 3 x 2 block at (3a, 2b) row by row,
     k = 2 * (row % 3) + col % 2.  The upper halfZ anchored at (a, b) is
     k = 0, 1, 2 with its prefix at (2a, b); the lower one is k = 3, 4, 5
     with its prefix at (2a + 1, b).  So from prefix cell (p, q), digit d
     leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q).
-    The origin is its own prefix, so the walk starts there.
+    The origin is its own prefix, so a whole string walks from there.
     """
-    p = q = 0
     for ch in w:
         r, c = divmod(3 * (p & 1) + int(ch), 2)
         p = 3 * (p >> 1) + r
@@ -64,20 +64,26 @@ def _coord_of(w: str) -> tuple[int, int]:
     return p, q
 
 
+def _zoom(i: int, j: int) -> tuple[int, int, int]:
+    """Inverse of one _coord_of step: (prefix row, prefix col, last digit) of cell (i, j).
+
+    Cell (i, j) is block cell k = 2 * (i % 3) + j % 2, its digit is k % 3,
+    and its halfZ's prefix sits at (2 * (i // 3) + k // 3, j // 2).
+    """
+    a, r = divmod(i, 3)
+    k = 2 * r + (j & 1)
+    return 2 * a + k // 3, j >> 1, k % 3
+
+
 def _string_at(i: int, j: int) -> str:
     """Inverse of _coord_of: the string in cell (i, j), for i, j >= 0.
 
-    Zooms out to the origin, one digit per level: cell (i, j) is block
-    cell k = 2 * (i % 3) + j % 2, its digit is k % 3, and its halfZ's
-    prefix sits at (2 * (i // 3) + k // 3, j // 2).
+    Zooms out to the origin, reading one digit per level.
     """
     digits = []
     while i or j:
-        a, r = divmod(i, 3)
-        k = 2 * r + (j & 1)
-        digits.append("012012"[k])
-        i = 2 * a + k // 3
-        j >>= 1
+        i, j, d = _zoom(i, j)
+        digits.append("012"[d])
     return "".join(reversed(digits)) or "0"
 
 

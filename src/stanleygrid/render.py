@@ -14,41 +14,40 @@ from .grid import Grid, GridCoord, _SHARED
 LEVEL_COLORS = ["#000000", "#cc2222", "#1a9922", "#ee8800", "#7733cc", "#886633"]
 
 
-def _cells_of(coord: GridCoord, level: int) -> list[GridCoord]:
-    """All grid cells belonging to the halfZ whose prefix cell is coord."""
-    nodes = [coord]
-    for _ in range(level + 1):
-        nodes = [descend(c, d) for c in nodes for d in range(3)]
-    return nodes
-
-
 def _enumerate_halfzs(level: int, rows: int, cols: int) -> list[GridCoord]:
-    """Prefix coordinates of all level-`level` halfZs fully inside rows x cols."""
+    """Prefix coordinates of all level-`level` halfZs fully inside rows x cols.
+
+    A child's row grows with its parent's row and with its digit, so digit 2
+    at every step reaches a halfZ's deepest row; every cell (p, q) has a
+    child in column 2q + 1, so the last column, (q + 1) * 2^(level+1) - 1, is
+    below cols iff q < cols >> (level + 1).  A level-(m+1) halfZ is three
+    level-m ones: once empty, the list stays empty at every deeper level.
+    """
     out = []
     for p in range(rows):
-        for q in range(cols):
-            cs = _cells_of(GridCoord(p, q), level)
-            if all(c.row < rows and c.col < cols for c in cs):
-                out.append(GridCoord(p, q))
+        deepest = GridCoord(p, 0)
+        for _ in range(level + 1):
+            deepest = descend(deepest, 2)
+        if deepest.row >= rows:
+            break                       # and for every larger p
+        out += [GridCoord(p, q) for q in range(cols >> (level + 1))]
     return out
 
 
 def _center(coord: GridCoord, level: int) -> tuple[float, float]:
-    """Centroid of a halfZ in (row, col) units."""
-    cs = _cells_of(coord, level)
+    """Centroid in (row, col) units of the level-`level` halfZ with prefix cell coord.
+
+    At level -1 that is the cell coord itself.
+    """
+    cs = [coord]
+    for _ in range(level + 1):
+        cs = [descend(c, d) for c in cs for d in range(3)]
     return (sum(c.row for c in cs) / len(cs), sum(c.col for c in cs) / len(cs))
 
 
 def _segment_points(coord: GridCoord, level: int) -> list[tuple[float, float]]:
-    """The three points a level-`level` halfZ's two segments connect."""
-    pts = []
-    for d in range(3):
-        child = descend(coord, d)
-        if level == 0:
-            pts.append((float(child.row), float(child.col)))
-        else:
-            pts.append(_center(child, level - 1))
-    return pts
+    """The three points a level-`level` halfZ's two segments connect: its children's centroids."""
+    return [_center(descend(coord, d), level - 1) for d in range(3)]
 
 
 def render_svg(levels: int, rows: int, cols: int, grid: Grid | None = None) -> str:
@@ -71,7 +70,10 @@ def render_svg(levels: int, rows: int, cols: int, grid: Grid | None = None) -> s
     for m in range(levels):
         color = LEVEL_COLORS[m % len(LEVEL_COLORS)]
         stroke = 1.2 + 0.7 * m
-        for coord in _enumerate_halfzs(m, rows, cols):
+        coords = _enumerate_halfzs(m, rows, cols)
+        if not coords:
+            break
+        for coord in coords:
             pts = [xy(r, c) for r, c in _segment_points(coord, m)]
             path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             parts.append(
@@ -117,7 +119,10 @@ def render_ascii(levels: int, rows: int, cols: int) -> str:
 
     for m in range(levels):
         ch = None if m == 0 else str(m)
-        for coord in _enumerate_halfzs(m, rows, cols):
+        coords = _enumerate_halfzs(m, rows, cols)
+        if not coords:
+            break
+        for coord in coords:
             pts = _segment_points(coord, m)
             line(*pts[0], *pts[1], ch)
             line(*pts[1], *pts[2], ch)

@@ -275,7 +275,7 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # grid
 
-def suite_grid(max_value: int) -> list[CheckResult]:
+def suite_grid() -> list[CheckResult]:
     out = []
     g = grid.Grid()
     win = grid.window(30, 64, g)
@@ -565,7 +565,7 @@ def suite_witness(max_value: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # refdata
 
-def suite_refdata(max_value: int) -> list[CheckResult]:
+def suite_refdata() -> list[CheckResult]:
     out = []
     ok = True
     detail = ""
@@ -648,15 +648,15 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
     if name in ("greedy", "all"):
         results += suite_greedy(mv)
     if name in ("grid", "all"):
-        results += suite_grid(mv)
+        results += suite_grid()
     if name in ("fractal", "all"):
         results += suite_fractal(mv, mr)
     if name in ("witness", "all"):
         results += suite_witness(mv)
     if name in ("refdata", "all"):
-        results += suite_refdata(mv)
+        results += suite_refdata()
     if name in ("theorem1", "all"):
-        results += suite_theorem1(min(mr, 200))
+        results += suite_theorem1(mr)
     if name in ("theorem2", "all"):
         results += suite_theorem2(mv)
     report = VerificationReport(suite=name, results=results)

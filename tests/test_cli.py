@@ -103,20 +103,6 @@ def test_cross_obeys_the_row_cap(capsys, monkeypatch, method):
     assert code == 0 and len(out.splitlines()) == 10
 
 
-def test_cross_sieves_under_the_row_cap(capsys, monkeypatch):
-    seen = []
-    build = cli.greedy.build_partition
-
-    def spy(limit, max_rows=10_000):
-        seen.append(max_rows)
-        return build(limit, max_rows=max_rows)
-
-    monkeypatch.setattr(cli.greedy, "build_partition", spy)
-    monkeypatch.setenv("STANLEY_GRID_CAP", "100000,12")
-    code, _, _ = run_cli(capsys, "cross", "--count", "12", "--method", "greedy")
-    assert code == 0 and seen == [12]
-
-
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STANLEY_GRID_CAP", "50")
     code, _, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100")
@@ -124,6 +110,17 @@ def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STANLEY_GRID_CAP", "1000000")
     code, out, _ = run_cli(capsys, "cross", "--count", "250", "--method", "grid")
     assert code == 0 and len(out.splitlines()) == 250
+
+
+@pytest.mark.parametrize("method", ["greedy", "grid"])
+def test_sequence_obeys_the_value_cap(capsys, monkeypatch, method):
+    monkeypatch.setenv("STANLEY_GRID_CAP", "50")
+    code, out, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100",
+                             "--method", method)
+    assert code == 4 and out == "" and "cap 50" in err
+    code, out, _ = run_cli(capsys, "sequence", "--row", "0", "--limit", "50",
+                           "--method", method)
+    assert code == 0 and len(out.splitlines()) == 16
 
 
 def test_grid_text_and_csv(capsys):
@@ -175,7 +172,7 @@ def test_verify_json(capsys):
 def test_verify_reports_failures(capsys, monkeypatch):
     from stanleygrid import verify as vmod
 
-    def fake_suite(max_value):
+    def fake_suite():
         return [vmod.CheckResult(name="always-wrong", passed=False, checked=1, detail="boom")]
 
     monkeypatch.setattr(vmod, "suite_refdata", fake_suite)

@@ -1,11 +1,23 @@
-"""Nested halfZ structure, zoom-out, counting traversal."""
+"""Nested halfZ structure, zoom-out, counting traversal.
+
+The references for descend and zoom_coord are the upper/lower case split
+they replaced, written out from the halfZ definition: an upper halfZ
+anchored at (a, b) holds (3a, 2b), (3a, 2b+1), (3a+1, 2b) with its prefix
+at (2a, b), a lower one (3a+1, 2b+1), (3a+2, 2b), (3a+2, 2b+1) with its
+prefix at (2a+1, b).
+"""
+
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stanleygrid.fractal import (
     WindowShapeError,
     check_minus1,
     check_zero_column,
+    descend,
     halfz_of,
     locate,
     row_values_below,
@@ -15,8 +27,63 @@ from stanleygrid.fractal import (
     zoom_coord,
     zoom_out,
 )
-from stanleygrid.grid import MalformedStringError, cell, row_of, window
+from stanleygrid.grid import GridCoord, MalformedStringError, cell, row_of, window
 from stanleygrid.radix import BASE_3, represent
+
+
+def _zoom_coord_by_case(i, j):
+    r = i % 3
+    if r == 0 or (r == 1 and j % 2 == 0):
+        return GridCoord(2 * (i // 3), j // 2)       # upper
+    return GridCoord(2 * (i // 3) + 1, j // 2)       # lower
+
+
+def _descend_by_case(coord, d):
+    p, q = coord
+    a = p // 2
+    if p % 2 == 0:  # upper halfZ anchored (a, q)
+        return (GridCoord(3 * a, 2 * q), GridCoord(3 * a, 2 * q + 1), GridCoord(3 * a + 1, 2 * q))[d]
+    return (GridCoord(3 * a + 1, 2 * q + 1), GridCoord(3 * a + 2, 2 * q), GridCoord(3 * a + 2, 2 * q + 1))[d]
+
+
+def test_block_steps_match_the_case_split():
+    for i in range(300):
+        for j in range(300):
+            assert zoom_coord(i, j) == _zoom_coord_by_case(i, j), (i, j)
+            for d in range(3):
+                c = descend((i, j), d)
+                assert c == _descend_by_case((i, j), d), (i, j, d)
+                assert zoom_coord(*c) == (i, j)
+
+
+@given(st.integers(0, 10**12), st.integers(0, 10**12), st.sampled_from((0, 1, 2)))
+@example(0, 0, 0)
+@example(10**12, 10**12, 2)
+@example(3**25 - 1, 2**39 - 1, 1)
+def test_block_steps_match_the_case_split_at_depth(i, j, d):
+    assert zoom_coord(i, j) == _zoom_coord_by_case(i, j)
+    c = descend(GridCoord(i, j), d)
+    assert c == _descend_by_case((i, j), d)
+    assert zoom_coord(*c) == (i, j)
+
+
+def test_halfz_of_matches_the_case_split():
+    for level in range(4):
+        for i in range(60):
+            for j in range(40):
+                p, q = i, j
+                for _ in range(level):
+                    p, q = _zoom_coord_by_case(p, q)
+                prefix = _zoom_coord_by_case(p, q)
+                upper = p % 3 == 0 or (p % 3 == 1 and q % 2 == 0)
+                anchor = (prefix.row // 2, prefix.col)
+                hz = halfz_of(i, j, level)
+                assert hz.kind == ("upper" if upper else "lower")
+                assert hz.anchor == anchor and hz.level == level
+                assert hz.members == tuple(_descend_by_case(prefix, d) for d in range(3))
+                assert hz.lcp == cell(*prefix)
+                a, b = anchor
+                assert hz.lcp_coord == (GridCoord(2 * a, b) if upper else GridCoord(2 * a + 1, b))
 
 
 def test_halfz_membership_examples():
@@ -150,6 +217,18 @@ def test_row_values_by_length():
     assert row_values_by_length(2, 1) == ()
     assert row_values_by_length(0, 2) == (3, 4)
     assert row_values_by_length(1, 2) == (5, 6)
+
+
+def test_row_values_keep_nothing_after_returning():
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for r in range(90):
+            row_values_below(r, 3**12)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20, f"{(after - before) / 2**20:.1f} MiB kept"
 
 
 def test_row_values_below():

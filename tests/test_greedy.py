@@ -8,7 +8,6 @@ import pytest
 from stanleygrid import grid
 from stanleygrid.greedy import (
     InsufficientRangeError,
-    RowCapError,
     build_partition,
     cross_sequence,
     first_term_bound,
@@ -110,16 +109,9 @@ def test_row_index_outside_range(part729):
         part729.row_index(3**6)
 
 
-def test_row_cap():
-    with pytest.raises(RowCapError):
-        build_partition(100, max_rows=3)
-
-
 def test_bad_limits():
     with pytest.raises(ValueError):
         build_partition(0)
-    with pytest.raises(ValueError):
-        build_partition(10, max_rows=0)
 
 
 def test_large_and_small_agree():
@@ -129,7 +121,7 @@ def test_large_and_small_agree():
         assert list(small.row(i)) == [t for t in big.row(i) if t < 120]
 
 
-def _build_partition_by_column(limit, max_rows=10_000):
+def _build_partition_by_column(limit):
     """Reference sieve: values in increasing order, each probed against every open row.
 
     Keeps one forbidden byte array and one term buffer per row; returns
@@ -147,8 +139,6 @@ def _build_partition_by_column(limit, max_rows=10_000):
         while j < opened and forb_bytes[j][n]:
             j += 1
         if j == opened:
-            if j >= max_rows:
-                raise RowCapError(f"more than {max_rows} rows needed below {limit}")
             rows.append([])
             ba = bytearray(limit)
             forb_bytes.append(ba)
@@ -188,15 +178,6 @@ def test_every_limit_up_to_243_matches_column_order():
         part = build_partition(limit)
         assert part.rows == rows, limit
         assert [part.row_index(n) for n in range(limit)] == assignment.tolist(), limit
-
-
-def test_row_cap_boundary():
-    rows, _ = _build_partition_by_column(100)
-    k = len(rows)
-    assert build_partition(100, max_rows=k).rows == rows
-    with pytest.raises(RowCapError) as exc:
-        build_partition(100, max_rows=k - 1)
-    assert str(exc.value) == f"more than {k - 1} rows needed below 100"
 
 
 def test_sieve_memory_does_not_grow_with_rows():

@@ -133,6 +133,6 @@ def test_suite_grid_judges_each_check_on_its_own(monkeypatch):
     from stanleygrid import radix, verify
 
     monkeypatch.setattr(radix, "add_two", lambda w: w + "0")
-    results = {r.name: r.passed for r in verify.suite_grid(verify.DEFAULT_MAX_VALUE)}
+    results = {r.name: r.passed for r in verify.suite_grid()}
     assert results["columns-follow-add-two"] is False
     assert results["strings-upto-len6-unique"] is True
