@@ -20,7 +20,7 @@ from .greedy import (
     cross_sequence,
     is_ap_free_extension,
 )
-from .grid import Grid, GridCoord, GridWindow, MalformedStringError, binary_string, cell, main_suffix, row_of, window
+from .grid import GridCoord, GridWindow, MalformedStringError, binary_string, cell, main_suffix, row_of, window
 from .radix import (
     BASE_3,
     BASE_3_2,
@@ -41,8 +41,6 @@ from .witness import (
     WitnessPair,
     decompose,
     witness_oracle,
-    witness_row0,
-    witness_row1,
 )
 
 __version__ = "0.1.0"

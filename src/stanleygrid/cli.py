@@ -102,7 +102,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+def _check_window_cap(rows: int, cols: int) -> None:
+    """Bound a grid or render window's cell count by the value cap before any cell is built.
+
+    Sizes below 1 are left to the builders, which reject them as usage errors.
+    """
+    cap_value, _ = verify.resolve_caps()
+    if rows > 0 and cols > 0 and rows * cols > cap_value:
+        raise verify.CapExceededError(
+            f"--rows {rows} x --cols {cols} is {rows * cols} cells, beyond cap {cap_value} "
+            f"(raise via {verify.CAP_ENV_VAR})"
+        )
+
+
 def cmd_grid(args) -> int:
+    _check_window_cap(args.rows, args.cols)
     win = grid.window(args.rows, args.cols)
     if args.format == "csv":
         text = win.to_csv()
@@ -115,19 +129,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.target_row == 0:
-        pair = witness.witness_row0(args.x)
-        trace = [witness.TAG_ROW0]
-    elif args.target_row == 1 and args.direct:
-        pair = witness.witness_row1(args.x)
-        trace = None
-    else:
-        pair, trace = witness.witness(args.x, args.target_row)
+    pair, trace = witness.witness(args.x, args.target_row)
     _write_out(pair.to_json(trace) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
+    _check_window_cap(args.rows, args.cols)
     if args.format == "ascii":
         text = render.render_ascii(args.levels, args.rows, args.cols)
     else:
@@ -181,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="why a numeral was pushed past a row")
     p.add_argument("x", help="base-3 numeral")
     p.add_argument("--target-row", type=int, required=True)
-    p.add_argument("--direct", action="store_true",
-                   help="for row 1, use the segment construction without a trace")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_witness)
 

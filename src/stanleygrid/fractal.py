@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Grid, GridCoord, MalformedStringError, _SHARED, _check_ternary, _coord_of, _zoom
+from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _zoom, cell
 from .radix import canonicalize
 
 
@@ -57,7 +57,7 @@ def descend(coord: GridCoord | tuple[int, int], d: int) -> GridCoord:
     return GridCoord(*_coord_of("012"[d], *coord))
 
 
-def halfz_of(i: int, j: int, level: int = 0, grid: Grid | None = None) -> HalfZ:
+def halfz_of(i: int, j: int, level: int = 0) -> HalfZ:
     """The level-`level` halfZ containing cell (i, j).
 
     Zooming out `level` times maps the cell onto the grid again; the
@@ -68,7 +68,6 @@ def halfz_of(i: int, j: int, level: int = 0, grid: Grid | None = None) -> HalfZ:
         raise ValueError(f"coordinates must be non-negative, got ({i}, {j})")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    g = grid if grid is not None else _SHARED
     p, q = i, j
     for _ in range(level):
         p, q = zoom_coord(p, q)
@@ -79,7 +78,7 @@ def halfz_of(i: int, j: int, level: int = 0, grid: Grid | None = None) -> HalfZ:
         anchor=(prefix.row // 2, prefix.col),
         level=level,
         members=members,  # type: ignore[arg-type]
-        lcp=g.cell(*prefix),
+        lcp=cell(*prefix),
     )
 
 
@@ -129,7 +128,7 @@ def ternary_successor(w: str) -> tuple[str, int]:
     return canonicalize(bumped + "0" * depth), depth
 
 
-def traversal(count: int, grid: Grid | None = None) -> list[tuple[str, GridCoord]]:
+def traversal(count: int) -> list[tuple[str, GridCoord]]:
     """First `count` cells of the halfZ nesting walk, as (string, coordinate).
 
     The walk is purely geometric: expand the level-m origin halfZ (m just
@@ -141,7 +140,6 @@ def traversal(count: int, grid: Grid | None = None) -> list[tuple[str, GridCoord
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return []
-    g = grid if grid is not None else _SHARED
     m = 0
     while 3 ** (m + 1) < count:
         m += 1
@@ -154,7 +152,7 @@ def traversal(count: int, grid: Grid | None = None) -> list[tuple[str, GridCoord
             child = descend(coord, d)
             if level == 0:
                 if len(out) < count:
-                    out.append((g.cell(*child), child))
+                    out.append((cell(*child), child))
             else:
                 walk(level - 1, child)
 
@@ -259,19 +257,18 @@ def check_minus1(limit: int) -> CheckReport:
     return CheckReport(name="minus1", passed=True, checked=checked)
 
 
-def check_zero_column(rows: int, grid: Grid | None = None) -> CheckReport:
+def check_zero_column(rows: int) -> CheckReport:
     """Column 0 is strictly increasing in base-3 value and minimal in its row.
 
     Minimality scans the row-content value sets for every string length up
     to one more than the column entry's length (anything longer is larger
     anyway).
     """
-    g = grid if grid is not None else _SHARED
     memo: _Memo = {}
     prev_val = -1
     checked = 0
     for i in range(rows):
-        s = g.cell(i, 0)
+        s = cell(i, 0)
         v = int(s, 3)
         checked += 1
         if v <= prev_val:

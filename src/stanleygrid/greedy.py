@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .radix import BASE_3, BASE_3_2, represent
+from .radix import BASE_3_2, represent
 
 
 class InsufficientRangeError(ValueError):
@@ -59,19 +59,6 @@ class GreedyPartition:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def first_terms(self, count: int) -> list[int]:
-        """First element of each of the first `count` rows (the cross sequence)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count > len(self.rows):
-            need = first_term_bound(count)
-            raise InsufficientRangeError(
-                f"only {len(self.rows)} rows opened below {self.bound}; "
-                f"a bound of {need} suffices for {count} rows",
-                required_bound=need,
-            )
-        return [r[0] for r in self.rows[:count]]
 
 
 def first_term_bound(count: int) -> int:
@@ -148,9 +135,13 @@ def build_partition(limit: int) -> GreedyPartition:
 
 def cross_sequence(partition: GreedyPartition, count: int) -> list[int]:
     """Read the partition crosswise: first term of each of the first `count` rows."""
-    return partition.first_terms(count)
-
-
-def row_prefix_base3(partition: GreedyPartition, i: int) -> list[str]:
-    """Row i rendered in base 3 (handy against the ternary characterizations)."""
-    return [represent(n, BASE_3) for n in partition.row(i)]
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count > partition.num_rows:
+        need = first_term_bound(count)
+        raise InsufficientRangeError(
+            f"only {partition.num_rows} rows opened below {partition.bound}; "
+            f"a bound of {need} suffices for {count} rows",
+            required_bound=need,
+        )
+    return [r[0] for r in partition.rows[:count]]

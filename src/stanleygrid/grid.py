@@ -10,8 +10,9 @@ fractal): each digit of a string picks one cell of a 3 x 2 block, so a
 string reaches its cell in one step per digit, and zooming a cell out to
 the origin reads its digits back.  This module owns that block numbering
 (_coord_of steps down, _zoom steps up; fractal only calls them).  Both
-directions take time linear in the string length and keep no state; the
-add-2 column rule is not used here and stays an independent check.
+directions take time linear in the string length and keep no state, so
+the grid is the plain functions cell, row_of and window; the add-2 column
+rule is not used here and stays an independent check.
 """
 
 from __future__ import annotations
@@ -96,16 +97,6 @@ def cell(i: int, j: int) -> str:
     return _string_at(i, j)
 
 
-class Grid:
-    """The grid as an object; cells are computed from their coordinates, so it keeps no state."""
-
-    def cell(self, i: int, j: int) -> str:
-        return cell(i, j)
-
-
-_SHARED = Grid()
-
-
 def main_suffix(w: str) -> str:
     """Suffix of w starting at its leftmost 2; "" when w has no 2.
 
@@ -153,13 +144,12 @@ class GridWindow:
         return "\n".join(lines) + "\n"
 
 
-def window(rows: int, cols: int, grid: Grid | None = None) -> GridWindow:
+def window(rows: int, cols: int) -> GridWindow:
     """Materialize the rows x cols top-left window."""
     if rows < 1 or cols < 1:
         raise ValueError("window must have at least one row and one column")
-    g = grid if grid is not None else _SHARED
     return GridWindow(
         rows=rows,
         cols=cols,
-        cells=tuple(tuple(g.cell(i, j) for j in range(cols)) for i in range(rows)),
+        cells=tuple(tuple(cell(i, j) for j in range(cols)) for i in range(rows)),
     )

@@ -9,7 +9,7 @@ segments.
 from __future__ import annotations
 
 from .fractal import descend
-from .grid import Grid, GridCoord, _SHARED
+from .grid import GridCoord, cell
 
 LEVEL_COLORS = ["#000000", "#cc2222", "#1a9922", "#ee8800", "#7733cc", "#886633"]
 
@@ -50,11 +50,10 @@ def _segment_points(coord: GridCoord, level: int) -> list[tuple[float, float]]:
     return [_center(descend(coord, d), level - 1) for d in range(3)]
 
 
-def render_svg(levels: int, rows: int, cols: int, grid: Grid | None = None) -> str:
+def render_svg(levels: int, rows: int, cols: int) -> str:
     """SVG drawing: one dot per cell, polylines for levels 0 .. levels-1."""
     if levels < 1 or rows < 1 or cols < 1:
         raise ValueError("levels, rows and cols must all be >= 1")
-    g = grid if grid is not None else _SHARED
     step, margin = 36, 24
     width = margin * 2 + (cols - 1) * step
     height = margin * 2 + (rows - 1) * step
@@ -83,7 +82,7 @@ def render_svg(levels: int, rows: int, cols: int, grid: Grid | None = None) -> s
     for i in range(rows):
         for j in range(cols):
             x, y = xy(i, j)
-            s = g.cell(i, j)
+            s = cell(i, j)
             parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#333"><title>{s}</title></circle>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -121,12 +121,11 @@ def _result(name: str, passed: bool, checked: int, detail: str = "") -> CheckRes
 # ---------------------------------------------------------------------------
 # radix
 
-def suite_radix(max_value: int, carry_length: int | None = None) -> list[CheckResult]:
-    if carry_length is None:
-        # sweep every string up to the length that covers max_value
-        carry_length = 1
-        while 3 ** (carry_length + 1) <= max_value and carry_length < 12:
-            carry_length += 1
+def suite_radix(max_value: int) -> list[CheckResult]:
+    # sweep every string up to the length that covers max_value
+    carry_length = 1
+    while 3 ** (carry_length + 1) <= max_value and carry_length < 12:
+        carry_length += 1
     out = []
 
     ref = refdata.bundled("A024629")
@@ -277,8 +276,7 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
 
 def suite_grid() -> list[CheckResult]:
     out = []
-    g = grid.Grid()
-    win = grid.window(30, 64, g)
+    win = grid.window(30, 64)
 
     corner = [
         ["0", "1", "10", "11", "100", "101"],
@@ -299,7 +297,7 @@ def suite_grid() -> list[CheckResult]:
     out.append(_result("columns-follow-add-two", bad == 0, win.rows * win.cols))
 
     # every short canonical string appears exactly once, where locate says
-    big = grid.window(46, 64, g)
+    big = grid.window(46, 64)
     seen: dict[str, tuple[int, int]] = {}
     bad = 0
     for i in range(big.rows):
@@ -328,7 +326,7 @@ def suite_grid() -> list[CheckResult]:
     checked = 0
     for i in range(0, 12):
         for j in range(0, 16):
-            w = g.cell(i, j)
+            w = grid.cell(i, j)
             for y in ("1", "10", "11", "110"):
                 checked += 1
                 if grid.row_of(y + w) != i:
@@ -339,7 +337,7 @@ def suite_grid() -> list[CheckResult]:
     checked = 0
     for i in range(0, 20):
         for j in range(0, 32):
-            w = g.cell(i, j)
+            w = grid.cell(i, j)
             s = grid.main_suffix(w)
             checked += 1
             if s and grid.row_of(s) != i:
@@ -362,7 +360,7 @@ def suite_grid() -> list[CheckResult]:
             break
     out.append(_result("rows-are-3free-by-value", not bad, checked, bad))
 
-    w = grid.window(4, 6, g)
+    w = grid.window(4, 6)
     csv_ok = w.to_csv().splitlines()[1].split(",") == corner[1]
     json_ok = json.loads(w.to_json())[3] == corner[3]
     out.append(_result("window-serialization", csv_ok and json_ok, 2))
@@ -374,25 +372,24 @@ def suite_grid() -> list[CheckResult]:
 
 def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out = []
-    g = grid.Grid()
 
     # partition into halfZ triples + anchor/prefix consistency
     bad = ""
     checked = 0
     for i in range(30):
         for j in range(64):
-            hz = fractal.halfz_of(i, j, grid=g)
+            hz = fractal.halfz_of(i, j)
             checked += 1
             if (i, j) not in {tuple(m) for m in hz.members}:
                 bad = f"cell ({i},{j}) missing from its own halfZ"
                 break
-            strings = [g.cell(*m) for m in hz.members]
+            strings = [grid.cell(*m) for m in hz.members]
             prefixes = {radix.canonicalize(s[:-1]) for s in strings}
-            if prefixes != {hz.lcp} or g.cell(*hz.lcp_coord) != hz.lcp:
+            if prefixes != {hz.lcp} or grid.cell(*hz.lcp_coord) != hz.lcp:
                 bad = f"halfZ at ({i},{j}): prefix mismatch {prefixes} vs {hz.lcp}"
                 break
             for m in hz.members:
-                if fractal.halfz_of(*m, grid=g).members != hz.members:
+                if fractal.halfz_of(*m).members != hz.members:
                     bad = f"members of ({i},{j}) disagree about their triple"
                     break
             if bad:
@@ -402,12 +399,12 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out.append(_result("cells-partition-into-halfzs", not bad, checked, bad))
 
     # a 3r x 2c block of halfZs collapses onto the 2r x c top-left window
-    win = grid.window(30, 64, g)
+    win = grid.window(30, 64)
     once = fractal.zoom_out(win.cells)
-    ok1 = [list(r) for r in grid.window(20, 32, g).cells] == once
-    big = grid.window(90, 128, g)
+    ok1 = [list(r) for r in grid.window(20, 32).cells] == once
+    big = grid.window(90, 128)
     twice = fractal.zoom_out(fractal.zoom_out(big.cells))
-    ok2 = [list(r) for r in grid.window(40, 32, g).cells] == twice
+    ok2 = [list(r) for r in grid.window(40, 32).cells] == twice
     out.append(_result("zoom-out-fixed-point", ok1 and ok2, 30 * 64 + 90 * 128))
 
     try:
@@ -422,10 +419,10 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     for m in range(0, 4):
         for i in range(9, 27):
             for j in range(8, 16):
-                hz = fractal.halfz_of(i, j, level=m, grid=g)
+                hz = fractal.halfz_of(i, j, level=m)
                 checked += 1
-                if hz.lcp != "0" and len(g.cell(i, j)) - len(hz.lcp) != m + 1:
-                    bad = f"level-{m} prefix of ({i},{j}): {hz.lcp} vs {g.cell(i, j)}"
+                if hz.lcp != "0" and len(grid.cell(i, j)) - len(hz.lcp) != m + 1:
+                    bad = f"level-{m} prefix of ({i},{j}): {hz.lcp} vs {grid.cell(i, j)}"
                     break
             if bad:
                 break
@@ -434,7 +431,7 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out.append(_result("prefix-loses-one-digit-per-level", not bad, checked, bad))
 
     limit = min(3**9, max_value)
-    walk = fractal.traversal(limit, grid=g)
+    walk = fractal.traversal(limit)
     bad = ""
     cur = "0"
     prev_coord = None
@@ -467,7 +464,7 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
                        json.dumps(rep.counterexample) if rep.counterexample else ""))
 
     rows = min(200, max_rows)
-    rep = fractal.check_zero_column(rows, grid=g)
+    rep = fractal.check_zero_column(rows)
     out.append(_result("column-0-minimal-and-increasing", rep.passed, rep.checked,
                        json.dumps(rep.counterexample) if rep.counterexample else ""))
     return out
@@ -601,9 +598,8 @@ def suite_theorem1(max_rows: int) -> list[CheckResult]:
     _check_caps(bound, rows)
     part = greedy.build_partition(bound)
     bad = ""
-    g = grid.Grid()
     for i in range(rows):
-        s = g.cell(i, 0)
+        s = grid.cell(i, 0)
         first = part.row(i)[0]
         if int(s, 3) != first:
             bad = f"row {i}: sieve starts {first}, column 0 reads {s}"
@@ -639,6 +635,10 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     mv = DEFAULT_MAX_VALUE if max_value is None else max_value
     mr = DEFAULT_MAX_ROWS if max_rows is None else max_rows
+    if mv < 1:
+        raise ValueError(f"--max-value must be >= 1, got {mv}")
+    if mr < 1:
+        raise ValueError(f"--max-rows must be >= 1, got {mr}")
     _check_caps(mv, mr)
 
     t0 = time.monotonic()

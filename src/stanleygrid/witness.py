@@ -118,24 +118,6 @@ def _decompose_cases(x: str) -> tuple[str, str, str, int]:
     return head[:-1], "1" + "0" * j + "1" * k, x3, 3
 
 
-def witness_row0(x: str) -> WitnessPair:
-    """Row-0 witnesses: turn the 2s of x into all-0s and all-1s."""
-    _require_above(x, 0)
-    c, d = _row0_pair(x)
-    pair = WitnessPair(x=x, target_row=0, c=c, d=d)
-    _validate(pair, [TAG_ROW0])
-    return pair
-
-
-def witness_row1(x: str) -> WitnessPair:
-    """Row-1 witnesses via the three-segment decomposition of x."""
-    _require_above(x, 1)
-    c, d, case = _row1_pair(x)
-    pair = WitnessPair(x=x, target_row=1, c=c, d=d)
-    _validate(pair, [TAG_ROW1[case]])
-    return pair
-
-
 def witness(x: str, j: int) -> tuple[WitnessPair, list[str]]:
     """Witness pair for target row j plus the trace of recursion branches."""
     if j < 0:
@@ -182,10 +164,12 @@ def _require_above(x: str, j: int) -> int:
 
 
 def _row0_pair(x: str) -> tuple[str, str]:
+    """Row-0 witnesses: turn the 2s of x into all-0s and all-1s."""
     return canonicalize(x.replace("2", "0")), x.replace("2", "1")
 
 
 def _row1_pair(x: str) -> tuple[str, str, int]:
+    """Row-1 witnesses via the three-segment decomposition of x, plus its case."""
     x1, x2, x3, case = _decompose_cases(x)
     if case == 0:
         a2 = b2 = "2"

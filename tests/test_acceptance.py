@@ -13,7 +13,7 @@ import time
 import pytest
 
 from stanleygrid import fractal, greedy, grid, radix
-from stanleygrid.witness import witness, witness_oracle, witness_row1
+from stanleygrid.witness import witness, witness_oracle
 
 
 def _report(ok: bool, label: str) -> None:
@@ -98,10 +98,9 @@ def test_criterion_5_first_terms_down_column_zero():
     t0 = time.perf_counter()
     bound = greedy.first_term_bound(200)
     part = greedy.build_partition(bound)
-    g = grid.Grid()
     ok = True
     for i in range(200):
-        s = g.cell(i, 0)
+        s = grid.cell(i, 0)
         if int(s, 3) != part.row(i)[0] or s != radix.represent(2 * i):
             ok = False
             break
@@ -112,20 +111,19 @@ def test_criterion_5_first_terms_down_column_zero():
 
 def test_criterion_6_halfz_partition_zoom_traversal():
     t0 = time.perf_counter()
-    g = grid.Grid()
     ok = True
     for i in range(30):
         for j in range(64):
-            hz = fractal.halfz_of(i, j, grid=g)
+            hz = fractal.halfz_of(i, j)
             if (i, j) not in {tuple(m) for m in hz.members}:
                 ok = False
-            strings = [g.cell(*m) for m in hz.members]
+            strings = [grid.cell(*m) for m in hz.members]
             if {radix.canonicalize(s[:-1]) for s in strings} != {hz.lcp}:
                 ok = False
-    win = grid.window(30, 64, g)
-    if fractal.zoom_out(win.cells) != [list(r) for r in grid.window(20, 32, g).cells]:
+    win = grid.window(30, 64)
+    if fractal.zoom_out(win.cells) != [list(r) for r in grid.window(20, 32).cells]:
         ok = False
-    walk = fractal.traversal(3**9, grid=g)
+    walk = fractal.traversal(3**9)
     s = "0"
     for n, (w, coord) in enumerate(walk):
         if w != s or tuple(fractal.locate(w)) != tuple(coord):
@@ -190,7 +188,7 @@ def test_criterion_8_witness_construction(part_3_7):
     a = "11100010000100110100012000"
     a_derived = a == radix.represent(2 * int(b, 3) - int(x, 3), radix.BASE_3)
     ab_in_row1 = fractal.locate(a).row == 1 and fractal.locate(b).row == 1
-    pair = witness_row1(x)
+    pair, _ = witness(x, 1)
     b_exact = pair.d == b
     a_exact = pair.c == a
     elapsed = time.perf_counter() - t0

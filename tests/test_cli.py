@@ -154,6 +154,23 @@ def test_witness_row0(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["c"] == "10" and doc["d"] == "111"
+    assert out == ('{"x":"212","j":0,"c":"10","d":"111","values_base3":[3,13,23],'
+                   '"trace":["row0"]}\n')
+
+
+def test_witness_row1_example_line(capsys):
+    code, out, _ = run_cli(capsys, "witness", "11102010220102110110011000",
+                           "--target-row", "1")
+    assert code == 0
+    assert out == ('{"x":"11102010220102110110011000","j":1,'
+                   '"c":"11100010000100110100012000","d":"11101010110101110101200000",'
+                   '"values_base3":[1225028612079,1235661684687,1246294757295],'
+                   '"trace":["row1-case3"]}\n')
+
+
+def test_witness_has_no_direct_flag(capsys):
+    code, out, _ = run_cli(capsys, "witness", "212", "--target-row", "1", "--direct")
+    assert code == 2 and out == ""
 
 
 def test_witness_not_applicable(capsys):
@@ -178,6 +195,22 @@ def test_verify_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(vmod, "suite_refdata", fake_suite)
     code, out, _ = run_cli(capsys, "verify", "--suite", "refdata")
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--max-value", "0"), ("--max-value", "-3"),
+                                        ("--max-rows", "0"), ("--max-rows", "-1")])
+def test_verify_rejects_bounds_below_one(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suite", "fractal", flag, value)
+    assert code == 2 and out == "" and flag in err
+
+
+def test_run_suite_rejects_bounds_below_one():
+    from stanleygrid import verify as vmod
+
+    with pytest.raises(ValueError, match="--max-value"):
+        vmod.run_suite("greedy", max_value=0)
+    with pytest.raises(ValueError, match="--max-rows"):
+        vmod.run_suite("theorem1", max_rows=-1)
 
 
 def test_verify_timings_on_stderr(capsys):
@@ -217,6 +250,27 @@ def test_render_ascii(capsys):
     assert code == 0
     assert out.count("o") == 16
     assert "-" in out and "/" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("grid",),
+    ("render", "--format", "ascii"),
+    ("render", "--format", "svg"),
+])
+def test_windows_obey_the_value_cap(capsys, monkeypatch, argv):
+    monkeypatch.setenv("STANLEY_GRID_CAP", "100")
+    code, out, err = run_cli(capsys, *argv, "--rows", "20", "--cols", "20")
+    assert code == 4 and out == "" and "cap 100" in err
+    code, out, _ = run_cli(capsys, *argv, "--rows", "10", "--cols", "10")
+    assert code == 0 and out
+
+
+def test_windows_obey_the_default_cap(capsys):
+    # 730 x 730 is the smallest square window above the default cap of 3^12 cells
+    code, out, err = run_cli(capsys, "grid", "--rows", "730", "--cols", "730")
+    assert code == 4 and out == "" and "cap 531441" in err
+    code, out, _ = run_cli(capsys, "render", "--format", "ascii")   # the 18 x 16 default
+    assert code == 0 and out.count("o") == 18 * 16
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,6 @@ from stanleygrid.greedy import (
     cross_sequence,
     first_term_bound,
     is_ap_free_extension,
-    row_prefix_base3,
 )
 from stanleygrid.radix import BASE_3, represent
 
@@ -88,10 +87,6 @@ def test_small_numbers_land_where_expected(part729):
 def test_first_terms_follow_base32(part729):
     for i in range(part729.num_rows):
         assert part729.row(i)[0] == int(represent(2 * i), 3)
-
-
-def test_row_prefix_base3(part729):
-    assert row_prefix_base3(part729, 1)[:4] == ["2", "12", "20", "102"]
 
 
 def test_insufficient_bound_error():
@@ -202,5 +197,5 @@ def test_every_row_matches_the_digit_map():
 
 def test_first_terms_rejects_negative_count(part729):
     with pytest.raises(ValueError):
-        part729.first_terms(-1)
-    assert part729.first_terms(0) == []
+        cross_sequence(part729, -1)
+    assert cross_sequence(part729, 0) == []

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from stanleygrid.grid import (
-    Grid,
     GridCoord,
     MalformedStringError,
     binary_string,
@@ -43,10 +42,9 @@ def test_row_zero_counts_in_binary():
 
 
 def test_columns_are_add_two_chains():
-    g = Grid()
     for j in range(24):
         for i in range(24):
-            assert g.cell(i + 1, j) == add_two(g.cell(i, j))
+            assert cell(i + 1, j) == add_two(cell(i, j))
 
 
 def test_main_suffix():
@@ -68,10 +66,9 @@ def test_row_of_examples():
 
 
 def test_row_of_matches_cells():
-    g = Grid()
     for i in range(16):
         for j in range(16):
-            assert row_of(g.cell(i, j)) == i
+            assert row_of(cell(i, j)) == i
 
 
 def test_row_of_rejects_malformed():

@@ -13,8 +13,6 @@ from stanleygrid.witness import (
     decompose,
     witness,
     witness_oracle,
-    witness_row0,
-    witness_row1,
 )
 
 X26 = "11102010220102110110011000"
@@ -50,17 +48,17 @@ def test_decompose_reassembles():
 
 
 def test_row0_pairs():
-    p = witness_row0("212")
+    p = witness("212", 0)[0]
     assert (p.c, p.d) == ("10", "111")
     assert p.values == (3, 13, 23)
-    p = witness_row0("2")
+    p = witness("2", 0)[0]
     assert (p.c, p.d) == ("0", "1")
-    p = witness_row0("20")
+    p = witness("20", 0)[0]
     assert (p.c, p.d) == ("0", "10")
 
 
 def test_row1_known_example():
-    pair = witness_row1(X26)
+    pair = witness(X26, 1)[0]
     assert pair.d == "11101010110101110101200000"
     c3, d3, x3 = pair.values
     assert d3 - c3 == x3 - d3
@@ -71,12 +69,12 @@ def test_row1_known_example():
 
 def test_row1_middle_segment_difference():
     # [x2] - [b2] = [b2] - [a2] = [0 1^(j+k)] for the 2 0^j 1^k shapes
-    pair = witness_row1("2011")
+    pair = witness("2011", 1)[0]
     assert (pair.c, pair.d) == ("1012", "1200")
     assert pair.values == (32, 45, 58)
-    pair = witness_row1("211")
+    pair = witness("211", 1)[0]
     assert (pair.c, pair.d) == ("112", "200")
-    pair = witness_row1("210011")
+    pair = witness("210011", 1)[0]
     assert (pair.c, pair.d) == ("12", "101200")  # middle segments 00012 and 01200
 
 
@@ -104,7 +102,7 @@ def test_witness_rejects_impossible():
     with pytest.raises(NotApplicableError):
         witness("212", -1)
     with pytest.raises(NotApplicableError):
-        witness_row1("20")
+        witness("20", 1)[0]
 
 
 def test_witness_sweep_all_rows(part243):
