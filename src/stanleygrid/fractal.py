@@ -211,12 +211,11 @@ def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
 
 def row_values_below(row: int, bound: int) -> list[int]:
     """Sorted base-3 values of row `row` cells that are < bound."""
-    if bound <= 0:
-        return []
     memo: _Memo = {}
     out: list[int] = []
     length = 1
-    while 3 ** (length - 1) < bound:  # a length-L string is worth >= 3^(L-1), except "0"
+    # "0" is worth 0, so length 1 is always read; any other length-L string is worth >= 3^(L-1)
+    while length == 1 or 3 ** (length - 1) < bound:
         out.extend(v for v in _row_values(row, length, memo) if v < bound)
         length += 1
     return sorted(out)

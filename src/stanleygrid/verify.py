@@ -16,24 +16,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from . import fractal, greedy, grid, radix, refdata, witness
 
 DEFAULT_MAX_VALUE = 3**12          # 531441
 DEFAULT_MAX_ROWS = 500
+DEFAULT_ROWS = 200                 # rows verify checks when --max-rows is not given
 CAP_ENV_VAR = "STANLEY_GRID_CAP"
-
-SUITES = (
-    "radix",
-    "greedy",
-    "grid",
-    "fractal",
-    "witness",
-    "refdata",
-    "theorem1",
-    "theorem2",
-    "all",
-)
 
 
 class CapExceededError(RuntimeError):
@@ -118,8 +108,51 @@ def _result(name: str, passed: bool, checked: int, detail: str = "") -> CheckRes
     return CheckResult(name=name, passed=bool(passed), checked=checked, detail=detail)
 
 
+def _scan(name: str, cases: Iterable[str]) -> CheckResult:
+    """Run a many-case check: each case yields "" if it holds, else its counterexample.
+
+    The scan stops at the first counterexample; `checked` counts the cases
+    run, the failing one included.
+    """
+    checked = 0
+    for fault in cases:
+        checked += 1
+        if fault:
+            return _result(name, False, checked, fault)
+    return _result(name, True, checked)
+
+
+def _strings(max_len: int) -> Iterator[str]:
+    """Every canonical string of at most max_len digits: "0" first, then shortest first."""
+    yield "0"
+    for length in range(1, max_len + 1):
+        for lead in "12":
+            for rest in itertools.product("012", repeat=length - 1):
+                yield lead + "".join(rest)
+
+
+def _raises(exc: type[Exception], fn, *args) -> bool:
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # radix
+
+def _carry_fault(w: str) -> str:
+    w2 = radix.add_two(w)
+    v1, e1 = radix.scaled_value(w)
+    v2, e2 = radix.scaled_value(w2)
+    # values v1/2^e1 + 2 == v2/2^e2 with e2 in {e1, e1+1}
+    if e2 == e1:
+        ok = v2 == v1 + 2 ** (e1 + 1)
+    else:
+        ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
+    return "" if ok and radix.is_canonical(w2) else f"add_two({w}) = {w2}"
+
 
 def suite_radix(max_value: int) -> list[CheckResult]:
     # sweep every string up to the length that covers max_value
@@ -134,111 +167,59 @@ def suite_radix(max_value: int) -> list[CheckResult]:
     out.append(_result("base32-prefix-vs-A024629", got == want, len(ref),
                        f"got {got[:5]}..."))
 
-    rt_limit = min(100_000, max_value)
-    bad = 0
-    for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
-        for n in range(rt_limit):
-            w = radix.represent(n, base)
-            if radix.evaluate(w, base) != n or not radix.is_canonical(w):
-                bad += 1
-                break
-    out.append(_result("round-trip-three-bases", bad == 0, 3 * rt_limit))
+    def round_trips():
+        for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
+            for n in range(min(100_000, max_value)):
+                w = radix.represent(n, base)
+                ok = radix.evaluate(w, base) == n and radix.is_canonical(w)
+                yield "" if ok else f"{n} in base {base} is {w}"
+    out.append(_scan("round-trip-three-bases", round_trips()))
 
-    checked = 0
-    bad_carry = ""
-    for length in range(1, carry_length + 1):
-        for lead in "12":
-            for rest in itertools.product("012", repeat=length - 1):
-                w = lead + "".join(rest)
-                w2 = radix.add_two(w)
-                v1, e1 = radix.scaled_value(w)
-                v2, e2 = radix.scaled_value(w2)
-                # values v1/2^e1 + 2 == v2/2^e2 with e2 in {e1, e1+1}
-                if e2 == e1:
-                    ok = v2 == v1 + 2 ** (e1 + 1)
-                else:
-                    ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
-                checked += 1
-                if not (ok and radix.is_canonical(w2)):
-                    bad_carry = f"add_two({w}) = {w2}"
-                    break
-            if bad_carry:
-                break
-        if bad_carry:
-            break
-    w2 = radix.add_two("0")
-    checked += 1
-    if w2 != "2":
-        bad_carry = bad_carry or f"add_two(0) = {w2}"
-    out.append(_result(f"carry-rule-lengths<={carry_length}", not bad_carry, checked, bad_carry))
+    out.append(_scan(f"carry-rule-lengths<={carry_length}",
+                     map(_carry_fault, _strings(carry_length))))
 
-    bad = 0
-    for n in range(0, 2000, 7):
-        w = radix.represent(n)
-        if radix.evaluate("00" + w) != radix.evaluate(w):
-            bad += 1
-    out.append(_result("leading-zeros-are-neutral", bad == 0, len(range(0, 2000, 7))))
+    out.append(_scan("leading-zeros-are-neutral", (
+        "" if radix.evaluate("00" + w) == radix.evaluate(w) else f"00{w} != {w}"
+        for w in map(radix.represent, range(0, 2000, 7)))))
 
-    try:
-        radix.add_two("13")
-        ok = False
-    except radix.InvalidDigitError:
-        ok = True
-    out.append(_result("rejects-bad-digits", ok, 1))
+    out.append(_result("rejects-bad-digits",
+                       _raises(radix.InvalidDigitError, radix.add_two, "13"), 1))
     return out
 
 
 # ---------------------------------------------------------------------------
 # greedy
 
-def _rows_are_3free(partition: greedy.GreedyPartition) -> tuple[bool, int, str]:
-    checked = 0
-    for terms in partition.rows:
-        members = set(terms)
-        for ai in range(len(terms)):
-            a = terms[ai]
-            for bi in range(ai + 1, len(terms)):
-                b = terms[bi]
-                checked += 1
-                if 2 * b - a in members:
-                    return False, checked, f"AP {a}, {b}, {2 * b - a}"
-    return True, checked, ""
-
-
 def suite_greedy(max_value: int) -> list[CheckResult]:
     out = []
     limit = min(3**9, max_value)
     part = greedy.build_partition(limit)
+    row_sets = [set(r) for r in part.rows]
 
     sizes_ok = sum(len(r) for r in part.rows) == limit
     assign_ok = all(n in part.rows[part.row_index(n)] for n in range(0, limit, 211))
     out.append(_result("rows-partition-the-range", sizes_ok and assign_ok, limit))
 
-    ok, checked, detail = _rows_are_3free(part)
-    out.append(_result("rows-are-3free", ok, checked, detail))
+    out.append(_scan("rows-are-3free", (
+        f"AP {a}, {b}, {2 * b - a}" if 2 * b - a in members else ""
+        for terms, members in zip(part.rows, row_sets)
+        for a, b in itertools.combinations(terms, 2))))
 
     # greedy minimality: every skipped row must hold a completing pair
-    bad = ""
-    checked = 0
-    row_sets = [set(r) for r in part.rows]
-    for n in range(limit):
-        top = part.row_index(n)
-        for j in range(top):
-            row = part.rows[j]
-            members = row_sets[j]
-            lo = bisect.bisect_left(row, (n + 1) // 2)   # need 2b >= n
-            hi = bisect.bisect_left(row, n)
-            found = any((2 * row[t] - n) in members for t in range(hi - 1, lo - 1, -1))
-            checked += 1
-            if not found:
-                bad = f"n={n} skipped row {j} without a witness"
-                break
-        if bad:
-            break
-    out.append(_result("skips-are-forced", not bad, checked, bad))
+    def skips():
+        for n in range(limit):
+            for j in range(part.row_index(n)):
+                row = part.rows[j]
+                members = row_sets[j]
+                lo = bisect.bisect_left(row, (n + 1) // 2)   # need 2b >= n
+                hi = bisect.bisect_left(row, n)
+                found = any((2 * row[t] - n) in members for t in range(hi - 1, lo - 1, -1))
+                yield "" if found else f"n={n} skipped row {j} without a witness"
+    out.append(_scan("skips-are-forced", skips()))
 
-    ref0 = refdata.bundled("A005836").values
-    ref1 = refdata.bundled("A323398").values
+    # bundled terms below the sieve bound; the rows hold every such term
+    ref0 = [v for v in refdata.bundled("A005836").values if v < limit]
+    ref1 = [v for v in refdata.bundled("A323398").values if v < limit]
     out.append(_result("row0-prefix-vs-A005836", list(part.row(0)[: len(ref0)]) == ref0, len(ref0)))
     out.append(_result("row1-prefix-vs-A323398", list(part.row(1)[: len(ref1)]) == ref1, len(ref1)))
 
@@ -253,21 +234,19 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
     ]
     out.append(_result("row1-is-the-single-2-set", list(part.row(1)) == single2, limit))
 
-    refx = refdata.bundled("A265316").values
+    refx = [v for v in refdata.bundled("A265316").values if v < limit]
     got = greedy.cross_sequence(part, len(refx))
     out.append(_result("cross-prefix-vs-A265316", got == refx, len(refx), f"got {got}"))
 
-    bad = 0
-    for i in (0, 1, 2):
-        sample = part.row(i)
-        for n in range(90):
-            prefix = [t for t in sample if t < n]
-            lhs = greedy.is_ap_free_extension(prefix, n)
-            # brute force over ordered pairs: n completes an AP iff n - b == b - a
-            brute = not any(n - b == b - a for a in prefix for b in prefix if a < b)
-            if lhs != brute:
-                bad += 1
-    out.append(_result("extension-probe-matches-definition", bad == 0, 3 * 90))
+    def probes():
+        for i in (0, 1, 2):
+            for n in range(90):
+                prefix = [t for t in part.row(i) if t < n]
+                probe = greedy.is_ap_free_extension(prefix, n)
+                # brute force over ordered pairs: n completes an AP iff n - b == b - a
+                brute = not any(n - b == b - a for a in prefix for b in prefix if a < b)
+                yield "" if probe == brute else f"row {i}, n={n}: probe {probe}, pairs {brute}"
+    out.append(_scan("extension-probe-matches-definition", probes()))
     return out
 
 
@@ -287,14 +266,15 @@ def suite_grid() -> list[CheckResult]:
     got = [[win.cells[i][j] for j in range(6)] for i in range(4)]
     out.append(_result("top-left-corner", got == corner, 24))
 
-    bad = 0
-    for j in range(win.cols):
-        if win.cells[0][j] != grid.binary_string(j):
-            bad += 1
-        for i in range(win.rows - 1):
-            if win.cells[i + 1][j] != radix.add_two(win.cells[i][j]):
-                bad += 1
-    out.append(_result("columns-follow-add-two", bad == 0, win.rows * win.cols))
+    def columns():
+        for j in range(win.cols):
+            top = win.cells[0][j]
+            yield "" if top == grid.binary_string(j) else f"column {j} starts {top}"
+            for i in range(win.rows - 1):
+                below = win.cells[i + 1][j]
+                want = radix.add_two(win.cells[i][j])
+                yield "" if below == want else f"cell({i + 1}, {j}) is {below}, not {want}"
+    out.append(_scan("columns-follow-add-two", columns()))
 
     # every short canonical string appears exactly once, where locate says
     big = grid.window(46, 64)
@@ -306,15 +286,9 @@ def suite_grid() -> list[CheckResult]:
             if s in seen:
                 bad += 1
             seen[s] = (i, j)
-    short = ["0"]
-    for length in range(1, 7):
-        for lead in "12":
-            for rest in itertools.product("012", repeat=length - 1):
-                short.append(lead + "".join(rest))
+    short = list(_strings(6))
     missing = [s for s in short if s not in seen]
-    misplaced = [
-        s for s in short if s in seen and tuple(fractal.locate(s)) != seen[s]
-    ]
+    misplaced = [s for s in short if s in seen and fractal.locate(s) != seen[s]]
     out.append(_result(
         "strings-upto-len6-unique",
         not missing and not misplaced and bad == 0,
@@ -322,43 +296,30 @@ def suite_grid() -> list[CheckResult]:
         f"missing {missing[:3]} misplaced {misplaced[:3]}",
     ))
 
-    bad = 0
-    checked = 0
-    for i in range(0, 12):
-        for j in range(0, 16):
-            w = grid.cell(i, j)
-            for y in ("1", "10", "11", "110"):
-                checked += 1
-                if grid.row_of(y + w) != i:
-                    bad += 1
-    out.append(_result("binary-prefixes-keep-the-row", bad == 0, checked))
+    def prefixed():
+        for i in range(0, 12):
+            for j in range(0, 16):
+                w = grid.cell(i, j)
+                for y in ("1", "10", "11", "110"):
+                    yield "" if grid.row_of(y + w) == i else f"{y}+cell({i}, {j}) leaves row {i}"
+    out.append(_scan("binary-prefixes-keep-the-row", prefixed()))
 
-    bad = 0
-    checked = 0
-    for i in range(0, 20):
-        for j in range(0, 32):
-            w = grid.cell(i, j)
-            s = grid.main_suffix(w)
-            checked += 1
-            if s and grid.row_of(s) != i:
-                bad += 1
-            if not s and i != 0:
-                bad += 1
-    out.append(_result("main-suffix-determines-the-row", bad == 0, checked))
+    def suffixes():
+        for i in range(0, 20):
+            for j in range(0, 32):
+                s = grid.main_suffix(grid.cell(i, j))
+                ok = grid.row_of(s) == i if s else i == 0
+                yield "" if ok else f"main suffix {s!r} of cell({i}, {j}) is not in row {i}"
+    out.append(_scan("main-suffix-determines-the-row", suffixes()))
 
-    bad = ""
-    checked = 0
-    for i in range(13):
-        vals = [grid.value_fraction(win.cells[i][j]) for j in range(win.cols)]
-        vset = set(vals)
-        for a, b in itertools.combinations(vals, 2):
-            checked += 1
-            if a != b and 2 * b - a in vset and max(a, b) == b:
-                bad = f"row {i}: AP ending {2 * b - a}"
-                break
-        if bad:
-            break
-    out.append(_result("rows-are-3free-by-value", not bad, checked, bad))
+    def by_value():
+        for i in range(13):
+            vals = [grid.value_fraction(w) for w in win.cells[i]]
+            vset = set(vals)
+            for a, b in itertools.combinations(vals, 2):
+                ap = a != b and 2 * b - a in vset and max(a, b) == b
+                yield f"row {i}: AP ending {2 * b - a}" if ap else ""
+    out.append(_scan("rows-are-3free-by-value", by_value()))
 
     w = grid.window(4, 6)
     csv_ok = w.to_csv().splitlines()[1].split(",") == corner[1]
@@ -370,33 +331,48 @@ def suite_grid() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # fractal
 
+def _halfz_fault(i: int, j: int) -> str:
+    """Cell (i, j) sits in its own halfZ, whose members share its prefix and its triple."""
+    hz = fractal.halfz_of(i, j)
+    if (i, j) not in hz.members:
+        return f"cell ({i},{j}) missing from its own halfZ"
+    prefixes = {radix.canonicalize(grid.cell(*m)[:-1]) for m in hz.members}
+    if prefixes != {hz.lcp} or grid.cell(*hz.lcp_coord) != hz.lcp:
+        return f"halfZ at ({i},{j}): prefix mismatch {prefixes} vs {hz.lcp}"
+    if any(fractal.halfz_of(*m).members != hz.members for m in hz.members):
+        return f"members of ({i},{j}) disagree about their triple"
+    return ""
+
+
+def _step_fault(n: int, s: str, coord: grid.GridCoord, count: str,
+                prev: grid.GridCoord | None, depth: int) -> str:
+    """Traversal entry n reads the ternary `count`, sits where locate says, and
+    shares a level-`depth` halfZ, but no lower one, with the entry before it
+    (`depth` is the carry depth of the step that counted up to it)."""
+    if s != count:
+        return f"entry {n}: visited {s}, counting says {count}"
+    if fractal.locate(s) != coord:
+        return f"entry {n}: locate({s}) != walk coordinate {coord}"
+    if prev is None:
+        return ""
+    a = prev
+    b = coord
+    for _ in range(depth):
+        a = fractal.zoom_coord(*a)
+        b = fractal.zoom_coord(*b)
+    if a == b:
+        return f"entry {n}: shares a level-{depth - 1} halfZ with its predecessor"
+    if fractal.zoom_coord(*a) != fractal.zoom_coord(*b):
+        return f"entry {n}: not in one level-{depth} halfZ"
+    return ""
+
+
 def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out = []
 
     # partition into halfZ triples + anchor/prefix consistency
-    bad = ""
-    checked = 0
-    for i in range(30):
-        for j in range(64):
-            hz = fractal.halfz_of(i, j)
-            checked += 1
-            if (i, j) not in {tuple(m) for m in hz.members}:
-                bad = f"cell ({i},{j}) missing from its own halfZ"
-                break
-            strings = [grid.cell(*m) for m in hz.members]
-            prefixes = {radix.canonicalize(s[:-1]) for s in strings}
-            if prefixes != {hz.lcp} or grid.cell(*hz.lcp_coord) != hz.lcp:
-                bad = f"halfZ at ({i},{j}): prefix mismatch {prefixes} vs {hz.lcp}"
-                break
-            for m in hz.members:
-                if fractal.halfz_of(*m).members != hz.members:
-                    bad = f"members of ({i},{j}) disagree about their triple"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("cells-partition-into-halfzs", not bad, checked, bad))
+    out.append(_scan("cells-partition-into-halfzs",
+                     (_halfz_fault(i, j) for i in range(30) for j in range(64))))
 
     # a 3r x 2c block of halfZs collapses onto the 2r x c top-left window
     win = grid.window(30, 64)
@@ -407,64 +383,37 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     ok2 = [list(r) for r in grid.window(40, 32).cells] == twice
     out.append(_result("zoom-out-fixed-point", ok1 and ok2, 30 * 64 + 90 * 128))
 
-    try:
-        fractal.zoom_out([["0", "1"], ["2", "20"]])
-        shape_ok = False
-    except fractal.WindowShapeError:
-        shape_ok = True
-    out.append(_result("zoom-rejects-bad-shapes", shape_ok, 1))
+    bad_shape = [["0", "1"], ["2", "20"]]
+    out.append(_result("zoom-rejects-bad-shapes",
+                       _raises(fractal.WindowShapeError, fractal.zoom_out, bad_shape), 1))
 
-    bad = ""
-    checked = 0
-    for m in range(0, 4):
-        for i in range(9, 27):
-            for j in range(8, 16):
-                hz = fractal.halfz_of(i, j, level=m)
-                checked += 1
-                if hz.lcp != "0" and len(grid.cell(i, j)) - len(hz.lcp) != m + 1:
-                    bad = f"level-{m} prefix of ({i},{j}): {hz.lcp} vs {grid.cell(i, j)}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("prefix-loses-one-digit-per-level", not bad, checked, bad))
+    def prefix_lengths():
+        for m in range(0, 4):
+            for i in range(9, 27):
+                for j in range(8, 16):
+                    lcp = fractal.halfz_of(i, j, level=m).lcp
+                    w = grid.cell(i, j)
+                    wrong = lcp != "0" and len(w) - len(lcp) != m + 1
+                    yield f"level-{m} prefix of ({i},{j}): {lcp} vs {w}" if wrong else ""
+    out.append(_scan("prefix-loses-one-digit-per-level", prefix_lengths()))
 
     limit = min(3**9, max_value)
-    walk = fractal.traversal(limit)
-    bad = ""
-    cur = "0"
-    prev_coord = None
-    for n, (s, coord) in enumerate(walk):
-        if s != cur:
-            bad = f"entry {n}: visited {s}, counting says {cur}"
-            break
-        if tuple(fractal.locate(s)) != tuple(coord):
-            bad = f"entry {n}: locate({s}) != walk coordinate {coord}"
-            break
-        if n > 0:
-            depth = len(prev_s) - len(prev_s.rstrip("2"))
-            a = tuple(prev_coord)
-            b = tuple(coord)
-            for _ in range(depth):
-                a = tuple(fractal.zoom_coord(*a))
-                b = tuple(fractal.zoom_coord(*b))
-            if a == b:
-                bad = f"entry {n}: shares a level-{depth - 1} halfZ with its predecessor"
-                break
-            if tuple(fractal.zoom_coord(*a)) != tuple(fractal.zoom_coord(*b)):
-                bad = f"entry {n}: not in one level-{depth} halfZ"
-                break
-        prev_s, prev_coord = s, coord
-        cur, _ = fractal.ternary_successor(cur)
-    out.append(_result("traversal-counts-in-ternary", not bad, len(walk), bad))
+
+    def steps():
+        count = "0"
+        depth = 0
+        prev = None
+        for n, (s, coord) in enumerate(fractal.traversal(limit)):
+            yield _step_fault(n, s, coord, count, prev, depth)
+            prev = coord
+            count, depth = fractal.ternary_successor(count)
+    out.append(_scan("traversal-counts-in-ternary", steps()))
 
     rep = fractal.check_minus1(limit)
     out.append(_result("decrement-drops-at-most-one-row", rep.passed, rep.checked,
                        json.dumps(rep.counterexample) if rep.counterexample else ""))
 
-    rows = min(200, max_rows)
-    rep = fractal.check_zero_column(rows)
+    rep = fractal.check_zero_column(max_rows)
     out.append(_result("column-0-minimal-and-increasing", rep.passed, rep.checked,
                        json.dumps(rep.counterexample) if rep.counterexample else ""))
     return out
@@ -493,98 +442,59 @@ def suite_witness(max_value: int) -> list[CheckResult]:
         f"parse={parse_ok} b={b_ok} ap={ap_ok} rows={rows_ok} a={pair.c}",
     ))
 
-    bad = ""
-    checked = 0
-    strings = {}
-    s = "0"
-    for n in range(limit):
-        strings[n] = s
-        s, _ = fractal.ternary_successor(s)
-    for n in range(limit):
-        w = strings[n]
-        top = part.row_index(n)
-        for j in range(top):
-            p, tr = witness.witness(w, j)
-            c3, d3, v3 = p.values
-            checked += 1
-            if d3 - c3 != v3 - d3 or not (c3 < d3 <= v3):
-                bad = f"witness({w}, {j}) gave {p.c}, {p.d}"
-                break
-            if grid.row_of(p.c) != j or grid.row_of(p.d) != j:
-                bad = f"witness({w}, {j}): pair not in row {j}"
-                break
-            if c3 < limit and part.row_index(c3) != j:
-                bad = f"witness({w}, {j}): {c3} not sieved into row {j}"
-                break
-            if d3 < limit and part.row_index(d3) != j:
-                bad = f"witness({w}, {j}): {d3} not sieved into row {j}"
-                break
-            oracle = witness.witness_oracle(w, j, part)
-            if oracle is None:
-                bad = f"oracle found no pair for ({w}, {j})"
-                break
-            if set(tr) - {
-                witness.TAG_ROW0, witness.TAG_DEGENERATE, witness.TAG_APPEND_EVEN,
-                witness.TAG_APPEND_ODD, witness.TAG_KEEP0, witness.TAG_KEEP2,
-                witness.TAG_SIMPLEST, witness.TAG_ITERATIVE, witness.TAG_PECULIAR,
-                *witness.TAG_ROW1,
-            }:
-                bad = f"unknown trace tag in {tr}"
-                break
-        if bad:
-            break
-    out.append(_result("all-exclusions-have-witnesses", not bad, checked, bad))
+    def exclusion_fault(w: str, j: int) -> str:
+        p, tr = witness.witness(w, j)
+        c3, d3, v3 = p.values
+        if d3 - c3 != v3 - d3 or not (c3 < d3 <= v3):
+            return f"witness({w}, {j}) gave {p.c}, {p.d}"
+        if grid.row_of(p.c) != j or grid.row_of(p.d) != j:
+            return f"witness({w}, {j}): pair not in row {j}"
+        if c3 < limit and part.row_index(c3) != j:
+            return f"witness({w}, {j}): {c3} not sieved into row {j}"
+        if d3 < limit and part.row_index(d3) != j:
+            return f"witness({w}, {j}): {d3} not sieved into row {j}"
+        if witness.witness_oracle(w, j, part) is None:
+            return f"oracle found no pair for ({w}, {j})"
+        if set(tr) - witness.TAGS:
+            return f"unknown trace tag in {tr}"
+        return ""
 
-    bad = 0
-    checked = 0
-    for length in range(1, 7):
-        for lead in "12":
-            for rest in itertools.product("012", repeat=length - 1):
-                w = lead + "".join(rest)
-                if fractal.locate(w).row < 2:
-                    continue
-                checked += 1
-                p1, p2, p3 = witness.decompose(w)
-                if p1 + p2 + p3 != w:
-                    bad += 1
-    out.append(_result("decompose-reassembles", bad == 0, checked))
+    def exclusions():
+        w = "0"
+        for n in range(limit):
+            for j in range(part.row_index(n)):
+                yield exclusion_fault(w, j)
+            w, _ = fractal.ternary_successor(w)
+    out.append(_scan("all-exclusions-have-witnesses", exclusions()))
 
-    errs = 0
-    for args in (("1", 0), ("2", 1), ("0", 0)):
-        try:
-            witness.witness(*args)
-        except witness.NotApplicableError:
-            errs += 1
-    out.append(_result("rejects-impossible-targets", errs == 3, 3))
+    out.append(_scan("decompose-reassembles", (
+        "" if "".join(witness.decompose(w)) == w else f"decompose({w}) = {witness.decompose(w)}"
+        for w in _strings(6) if fractal.locate(w).row >= 2)))
+
+    out.append(_scan("rejects-impossible-targets", (
+        "" if _raises(witness.NotApplicableError, witness.witness, w, j)
+        else f"witness({w}, {j}) raised no NotApplicableError"
+        for w, j in (("1", 0), ("2", 1), ("0", 0)))))
     return out
 
 
 # ---------------------------------------------------------------------------
 # refdata
 
-def suite_refdata() -> list[CheckResult]:
-    out = []
-    ok = True
-    detail = ""
-    for sid in refdata.bundled_ids():
-        seq = refdata.bundled(sid)
-        if len(seq) == 0 or seq.terms[0][0] != seq.offset:
-            ok = False
-            detail = sid
-        idxs = [i for i, _ in seq.terms]
-        if idxs != list(range(seq.offset, seq.offset + len(seq))):
-            ok = False
-            detail = f"{sid}: non-contiguous indices"
-    out.append(_result("bundled-bfiles-load", ok, len(refdata.bundled_ids()), detail))
+def _bfile_fault(sid: str) -> str:
+    seq = refdata.bundled(sid)
+    if len(seq) == 0 or seq.terms[0][0] != seq.offset:
+        return f"{sid}: empty or not starting at offset {seq.offset}"
+    if [i for i, _ in seq.terms] != list(range(seq.offset, seq.offset + len(seq))):
+        return f"{sid}: non-contiguous indices"
+    return ""
 
-    text = "# comment\n\n0 5\n1 7\n"
-    ok = refdata.parse_bfile(text) == ((0, 5), (1, 7))
-    try:
-        refdata.parse_bfile("0 1 2\n")
-        ok = False
-    except refdata.BFileFormatError:
-        pass
-    out.append(_result("bfile-parser", ok, 2))
+
+def suite_refdata() -> list[CheckResult]:
+    out = [_scan("bundled-bfiles-load", map(_bfile_fault, refdata.bundled_ids()))]
+    parsed_ok = refdata.parse_bfile("# comment\n\n0 5\n1 7\n") == ((0, 5), (1, 7))
+    rejects = _raises(refdata.BFileFormatError, refdata.parse_bfile, "0 1 2\n")
+    out.append(_result("bfile-parser", parsed_ok and rejects, 2))
     return out
 
 
@@ -592,49 +502,62 @@ def suite_refdata() -> list[CheckResult]:
 # theorems at scale
 
 def suite_theorem1(max_rows: int) -> list[CheckResult]:
-    out = []
-    rows = min(200, max_rows)
-    bound = greedy.first_term_bound(rows)
-    _check_caps(bound, rows)
+    bound = greedy.first_term_bound(max_rows)
+    cap_value, _ = resolve_caps()
+    if bound > cap_value:
+        raise CapExceededError(
+            f"{max_rows} rows need sieving to {bound}, beyond cap {cap_value} "
+            f"(raise via {CAP_ENV_VAR})"
+        )
     part = greedy.build_partition(bound)
-    bad = ""
-    for i in range(rows):
+
+    def row_fault(i: int) -> str:
         s = grid.cell(i, 0)
         first = part.row(i)[0]
         if int(s, 3) != first:
-            bad = f"row {i}: sieve starts {first}, column 0 reads {s}"
-            break
+            return f"row {i}: sieve starts {first}, column 0 reads {s}"
         if s != radix.represent(2 * i):
-            bad = f"row {i}: column 0 is {s}, (2i)_3/2 is {radix.represent(2 * i)}"
-            break
-    out.append(_result("first-terms-read-down-column-0", not bad, rows, bad))
-    return out
+            return f"row {i}: column 0 is {s}, (2i)_3/2 is {radix.represent(2 * i)}"
+        return ""
+    return [_scan("first-terms-read-down-column-0", map(row_fault, range(max_rows)))]
 
 
 def suite_theorem2(max_value: int) -> list[CheckResult]:
-    out = []
     bound = min(3**10, max_value)
     part = greedy.build_partition(bound)
-    bad = ""
-    for i in range(part.num_rows):      # these rows cover [0, bound), so no grid row is left
+
+    def row_fault(i: int) -> str:
         sieved = list(part.row(i))
         from_grid = fractal.row_values_below(i, bound)
-        if sieved != from_grid:
-            bad = (f"row {i}: sieve {sieved[:5]}..., grid {from_grid[:5]}...")
-            break
-    out.append(_result("rows-equal-grid-value-sets", not bad, part.num_rows, bad))
-    return out
+        same = sieved == from_grid
+        return "" if same else f"row {i}: sieve {sieved[:5]}..., grid {from_grid[:5]}..."
+    # these rows cover [0, bound), so no grid row is left
+    return [_scan("rows-equal-grid-value-sets", map(row_fault, range(part.num_rows)))]
 
 
 # ---------------------------------------------------------------------------
 # driver
+
+# Each runner looks its suite up when called, so a replaced `suite_*` attribute is used.
+_RUNNERS = {
+    "radix": lambda mv, mr: suite_radix(mv),
+    "greedy": lambda mv, mr: suite_greedy(mv),
+    "grid": lambda mv, mr: suite_grid(),
+    "fractal": lambda mv, mr: suite_fractal(mv, mr),
+    "witness": lambda mv, mr: suite_witness(mv),
+    "refdata": lambda mv, mr: suite_refdata(),
+    "theorem1": lambda mv, mr: suite_theorem1(mr),
+    "theorem2": lambda mv, mr: suite_theorem2(mv),
+}
+SUITES = (*_RUNNERS, "all")
+
 
 def run_suite(name: str, max_value: int | None = None, max_rows: int | None = None) -> VerificationReport:
     """Run one suite (or "all") and return its report."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     mv = DEFAULT_MAX_VALUE if max_value is None else max_value
-    mr = DEFAULT_MAX_ROWS if max_rows is None else max_rows
+    mr = DEFAULT_ROWS if max_rows is None else max_rows
     if mv < 1:
         raise ValueError(f"--max-value must be >= 1, got {mv}")
     if mr < 1:
@@ -643,22 +566,9 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
 
     t0 = time.monotonic()
     results: list[CheckResult] = []
-    if name in ("radix", "all"):
-        results += suite_radix(mv)
-    if name in ("greedy", "all"):
-        results += suite_greedy(mv)
-    if name in ("grid", "all"):
-        results += suite_grid()
-    if name in ("fractal", "all"):
-        results += suite_fractal(mv, mr)
-    if name in ("witness", "all"):
-        results += suite_witness(mv)
-    if name in ("refdata", "all"):
-        results += suite_refdata()
-    if name in ("theorem1", "all"):
-        results += suite_theorem1(mr)
-    if name in ("theorem2", "all"):
-        results += suite_theorem2(mv)
+    for suite, run in _RUNNERS.items():
+        if name in (suite, "all"):
+            results += run(mv, mr)
     report = VerificationReport(suite=name, results=results)
     report.duration_s = time.monotonic() - t0
     return report

@@ -50,6 +50,8 @@ TAG_KEEP2 = "keep-2"
 TAG_SIMPLEST = "simplest"
 TAG_ITERATIVE = "iterative"
 TAG_PECULIAR = "peculiar"
+TAGS = frozenset({TAG_ROW0, *TAG_ROW1, TAG_DEGENERATE, TAG_APPEND_EVEN, TAG_APPEND_ODD,
+                  TAG_KEEP0, TAG_KEEP2, TAG_SIMPLEST, TAG_ITERATIVE, TAG_PECULIAR})
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,18 @@ def test_convert_bad_digit(capsys):
     assert code == 2 and "digit" in err
 
 
-def test_sequence_methods_agree(capsys):
-    code, out_greedy, _ = run_cli(capsys, "sequence", "--row", "1", "--limit", "84")
+@pytest.mark.parametrize("row,limit,want", [
+    ("1", "84", [2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45, 54, 83]),
+    ("0", "1", [0]),
+], ids=["row1-limit84", "row0-limit1"])
+def test_sequence_methods_agree(capsys, row, limit, want):
+    code, out_greedy, _ = run_cli(capsys, "sequence", "--row", row, "--limit", limit)
     assert code == 0
-    code, out_grid, _ = run_cli(capsys, "sequence", "--row", "1", "--limit", "84",
+    code, out_grid, _ = run_cli(capsys, "sequence", "--row", row, "--limit", limit,
                                 "--method", "grid")
     assert code == 0
     assert out_greedy == out_grid
-    assert [int(x) for x in out_greedy.split()] == [2, 5, 6, 11, 14, 15, 18, 29, 32,
-                                                    33, 38, 41, 42, 45, 54, 83]
+    assert [int(x) for x in out_greedy.split()] == want
 
 
 def test_sequence_empty_row(capsys):
@@ -211,6 +214,24 @@ def test_run_suite_rejects_bounds_below_one():
         vmod.run_suite("greedy", max_value=0)
     with pytest.raises(ValueError, match="--max-rows"):
         vmod.run_suite("theorem1", max_rows=-1)
+
+
+def test_verify_greedy_below_the_bundled_terms(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "greedy", "--max-value", "50")
+    assert code == 0 and "suite greedy: PASS" in out
+    assert "cross-prefix-vs-A265316 (checked 5)" in out    # 0, 2, 7, 21, 23 lie below 50
+
+
+def test_verify_max_rows_above_200(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fractal", "--max-rows", "205")
+    assert code == 0 and "column-0-minimal-and-increasing (checked 205)" in out
+
+
+def test_verify_theorem1_rows_beyond_the_value_cap(capsys):
+    # first_term_bound(300) is 1377548, above the default value cap 3^12
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-rows", "300")
+    assert code == 4 and out == ""
+    assert "300 rows" in err and "cap 531441" in err
 
 
 def test_verify_timings_on_stderr(capsys):

@@ -232,6 +232,7 @@ def test_row_values_keep_nothing_after_returning():
 
 
 def test_row_values_below():
+    assert row_values_below(0, 1) == [0]
     assert row_values_below(0, 41) == [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
     assert row_values_below(1, 84) == [2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45, 54, 83]
     assert row_values_below(2, 22) == [7, 8, 16, 17, 19, 20]
