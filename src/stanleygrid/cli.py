@@ -43,11 +43,7 @@ def cmd_sequence(args) -> int:
         raise ValueError(f"--row must be >= 0, got {args.row}")
     if args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
-    cap_value, _ = verify.resolve_caps()
-    if args.limit > cap_value:
-        raise verify.CapExceededError(
-            f"limit {args.limit} exceeds cap {cap_value} (raise via {verify.CAP_ENV_VAR})"
-        )
+    verify.check_cap("--limit", args.limit)
     if args.method == "greedy":
         values = list(greedy.build_partition(args.limit).row(args.row))
     else:
@@ -63,18 +59,11 @@ def cmd_sequence(args) -> int:
 def cmd_cross(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    cap_value, cap_rows = verify.resolve_caps()
-    if args.count > cap_rows:
-        raise verify.CapExceededError(
-            f"--count {args.count} exceeds row cap {cap_rows} (raise via {verify.CAP_ENV_VAR})"
-        )
+    verify.check_cap("--count", args.count, rows=True)
     rows = []
     if args.method in ("greedy", "both"):
         bound = greedy.first_term_bound(args.count)
-        if bound > cap_value:
-            raise verify.CapExceededError(
-                f"{args.count} rows need sieving to {bound}, beyond cap {cap_value}"
-            )
+        verify.check_cap(f"the sieve bound for {args.count} rows", bound)
         part = greedy.build_partition(bound)
         rows = greedy.cross_sequence(part, args.count)
     g_rows = []
@@ -107,12 +96,8 @@ def _check_window_cap(rows: int, cols: int) -> None:
 
     Sizes below 1 are left to the builders, which reject them as usage errors.
     """
-    cap_value, _ = verify.resolve_caps()
-    if rows > 0 and cols > 0 and rows * cols > cap_value:
-        raise verify.CapExceededError(
-            f"--rows {rows} x --cols {cols} is {rows * cols} cells, beyond cap {cap_value} "
-            f"(raise via {verify.CAP_ENV_VAR})"
-        )
+    if rows > 0 and cols > 0:
+        verify.check_cap(f"the cell count of --rows {rows} x --cols {cols}", rows * cols)
 
 
 def cmd_grid(args) -> int:
@@ -210,18 +195,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (greedy.InsufficientRangeError,) as exc:
+    except greedy.InsufficientRangeError as exc:
         hint = f" (a bound of {exc.required_bound} suffices)" if exc.required_bound else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_BOUND
     except verify.CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (witness.ConstructionError,) as exc:
+    except witness.ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (radix.InvalidDigitError, grid.MalformedStringError, witness.NotApplicableError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,34 +74,31 @@ class VerificationReport:
 def resolve_caps() -> tuple[int, int]:
     """Current (max_value, max_rows) caps; STANLEY_GRID_CAP overrides.
 
-    The env var is either "VALUE" or "VALUE,ROWS".
+    The env var is either "VALUE" or "VALUE,ROWS"; anything else, or a cap
+    below 1, raises ValueError.
     """
     raw = os.environ.get(CAP_ENV_VAR, "").strip()
     if not raw:
         return DEFAULT_MAX_VALUE, DEFAULT_MAX_ROWS
-    parts = raw.split(",")
     try:
-        value = int(parts[0])
-        rows = int(parts[1]) if len(parts) > 1 else DEFAULT_MAX_ROWS
+        value, rows = map(int, raw.split(",")) if "," in raw else (int(raw), DEFAULT_MAX_ROWS)
     except ValueError:
-        raise CapExceededError(f"cannot parse {CAP_ENV_VAR}={raw!r}; use VALUE or VALUE,ROWS")
+        raise ValueError(f"cannot parse {CAP_ENV_VAR}={raw!r}; use VALUE or VALUE,ROWS") from None
     if value < 1 or rows < 1:
-        raise CapExceededError(f"{CAP_ENV_VAR}={raw!r}: caps must be positive")
+        raise ValueError(f"{CAP_ENV_VAR}={raw!r}: caps must be positive")
     return value, rows
 
 
-def _check_caps(max_value: int, max_rows: int) -> None:
+def check_cap(what: str, amount: int, rows: bool = False) -> None:
+    """Refuse a request whose `amount` exceeds the value cap (the row cap if `rows`).
+
+    Every cap check in the package goes through here, before any work.
+    """
     cap_value, cap_rows = resolve_caps()
-    if max_value > cap_value:
-        raise CapExceededError(
-            f"requested max_value {max_value} exceeds cap {cap_value} "
-            f"(raise via {CAP_ENV_VAR})"
-        )
-    if max_rows > cap_rows:
-        raise CapExceededError(
-            f"requested max_rows {max_rows} exceeds cap {cap_rows} "
-            f"(raise via {CAP_ENV_VAR})"
-        )
+    cap = cap_rows if rows else cap_value
+    if amount > cap:
+        kind = "row cap" if rows else "cap"
+        raise CapExceededError(f"{what} is {amount}, beyond {kind} {cap} (raise via {CAP_ENV_VAR})")
 
 
 def _result(name: str, passed: bool, checked: int, detail: str = "") -> CheckResult:
@@ -503,12 +500,7 @@ def suite_refdata() -> list[CheckResult]:
 
 def suite_theorem1(max_rows: int) -> list[CheckResult]:
     bound = greedy.first_term_bound(max_rows)
-    cap_value, _ = resolve_caps()
-    if bound > cap_value:
-        raise CapExceededError(
-            f"{max_rows} rows need sieving to {bound}, beyond cap {cap_value} "
-            f"(raise via {CAP_ENV_VAR})"
-        )
+    check_cap(f"the sieve bound for {max_rows} rows", bound)
     part = greedy.build_partition(bound)
 
     def row_fault(i: int) -> str:
@@ -562,7 +554,10 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
         raise ValueError(f"--max-value must be >= 1, got {mv}")
     if mr < 1:
         raise ValueError(f"--max-rows must be >= 1, got {mr}")
-    _check_caps(mv, mr)
+    check_cap("--max-value", mv)
+    check_cap("--max-rows", mr, rows=True)
+    if name in ("theorem1", "all"):
+        check_cap(f"the sieve bound for {mr} rows", greedy.first_term_bound(mr))
 
     t0 = time.monotonic()
     results: list[CheckResult] = []

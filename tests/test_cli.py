@@ -15,6 +15,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused(code, out, err, *pinned):
+    """A cap breach: exit 4, nothing on stdout, the override named on stderr."""
+    assert code == 4 and out == "" and "STANLEY_GRID_CAP" in err
+    assert all(p in err for p in pinned), err
+
+
 def test_convert_to_digits(capsys):
     code, out, _ = run_cli(capsys, "convert", "--value", "12")
     assert code == 0 and out.strip() == "2120"
@@ -93,23 +99,25 @@ def test_cross_json(capsys):
 
 
 def test_cross_cap(capsys):
-    code, _, err = run_cli(capsys, "cross", "--count", "300")
-    assert code == 4 and "cap" in err
+    # first_term_bound(300) is 1377548, above the default value cap 3^12
+    for method in ("both", "greedy"):
+        code, out, err = run_cli(capsys, "cross", "--count", "300", "--method", method)
+        assert_refused(code, out, err, "300 rows", "cap 531441")
 
 
 @pytest.mark.parametrize("method", ["greedy", "grid", "both"])
 def test_cross_obeys_the_row_cap(capsys, monkeypatch, method):
     monkeypatch.setenv("STANLEY_GRID_CAP", "100000,10")
     code, out, err = run_cli(capsys, "cross", "--count", "40", "--method", method)
-    assert code == 4 and out == "" and "row cap 10" in err
+    assert_refused(code, out, err, "row cap 10")
     code, out, _ = run_cli(capsys, "cross", "--count", "10", "--method", method)
     assert code == 0 and len(out.splitlines()) == 10
 
 
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("STANLEY_GRID_CAP", "50")
-    code, _, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100")
-    assert code == 4
+    code, out, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100")
+    assert_refused(code, out, err, "cap 50")
     monkeypatch.setenv("STANLEY_GRID_CAP", "1000000")
     code, out, _ = run_cli(capsys, "cross", "--count", "250", "--method", "grid")
     assert code == 0 and len(out.splitlines()) == 250
@@ -120,7 +128,7 @@ def test_sequence_obeys_the_value_cap(capsys, monkeypatch, method):
     monkeypatch.setenv("STANLEY_GRID_CAP", "50")
     code, out, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "100",
                              "--method", method)
-    assert code == 4 and out == "" and "cap 50" in err
+    assert_refused(code, out, err, "cap 50")
     code, out, _ = run_cli(capsys, "sequence", "--row", "0", "--limit", "50",
                            "--method", method)
     assert code == 0 and len(out.splitlines()) == 16
@@ -230,8 +238,36 @@ def test_verify_max_rows_above_200(capsys):
 def test_verify_theorem1_rows_beyond_the_value_cap(capsys):
     # first_term_bound(300) is 1377548, above the default value cap 3^12
     code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--max-rows", "300")
-    assert code == 4 and out == ""
-    assert "300 rows" in err and "cap 531441" in err
+    assert_refused(code, out, err, "300 rows", "cap 531441")
+
+
+@pytest.mark.parametrize("env,flag,value,pinned", [
+    ("100", "--max-value", "101", "cap 100"),
+    ("531441,10", "--max-rows", "11", "row cap 10"),
+])
+def test_verify_obeys_the_caps(capsys, monkeypatch, env, flag, value, pinned):
+    monkeypatch.setenv("STANLEY_GRID_CAP", env)
+    code, out, err = run_cli(capsys, "verify", "--suite", "refdata", flag, value)
+    assert_refused(code, out, err, flag, pinned)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "refdata", flag, str(int(value) - 1))
+    assert code == 0 and "suite refdata: PASS" in out
+
+
+def test_verify_refuses_before_any_suite_runs(capsys, monkeypatch):
+    from stanleygrid import verify as vmod
+
+    calls = []
+    monkeypatch.setattr(vmod, "suite_radix", lambda mv: calls.append(mv) or [])
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-rows", "300")
+    assert_refused(code, out, err, "300 rows", "cap 531441")
+    assert calls == []
+
+
+@pytest.mark.parametrize("env", ["abc", "5,x", "0", "100,0", "1,2,3"])
+def test_malformed_cap_override_is_a_usage_error(capsys, monkeypatch, env):
+    monkeypatch.setenv("STANLEY_GRID_CAP", env)
+    code, out, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "5")
+    assert code == 2 and out == "" and "STANLEY_GRID_CAP" in err
 
 
 def test_verify_timings_on_stderr(capsys):
@@ -281,7 +317,7 @@ def test_render_ascii(capsys):
 def test_windows_obey_the_value_cap(capsys, monkeypatch, argv):
     monkeypatch.setenv("STANLEY_GRID_CAP", "100")
     code, out, err = run_cli(capsys, *argv, "--rows", "20", "--cols", "20")
-    assert code == 4 and out == "" and "cap 100" in err
+    assert_refused(code, out, err, "cap 100")
     code, out, _ = run_cli(capsys, *argv, "--rows", "10", "--cols", "10")
     assert code == 0 and out
 
@@ -289,7 +325,7 @@ def test_windows_obey_the_value_cap(capsys, monkeypatch, argv):
 def test_windows_obey_the_default_cap(capsys):
     # 730 x 730 is the smallest square window above the default cap of 3^12 cells
     code, out, err = run_cli(capsys, "grid", "--rows", "730", "--cols", "730")
-    assert code == 4 and out == "" and "cap 531441" in err
+    assert_refused(code, out, err, "cap 531441")
     code, out, _ = run_cli(capsys, "render", "--format", "ascii")   # the 18 x 16 default
     assert code == 0 and out.count("o") == 18 * 16
 

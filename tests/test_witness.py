@@ -168,3 +168,14 @@ def test_trace_tags_cover_the_three_shift_branches(part243):
             _, trace = witness(w, j)
             seen.update(trace)
     assert {"simplest", "iterative", "peculiar", "row0", "degenerate"} <= seen
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="witness recurses once per level; 1000 digits pass the default limit")
+def test_witness_of_a_1000_digit_string():
+    x = "21" * 500
+    row = locate(x).row
+    pair, _ = witness(x, row // 2)
+    c3, d3, x3 = pair.values
+    assert d3 - c3 == x3 - d3 and c3 < d3 < x3
+    assert row_of(pair.c) == row_of(pair.d) == row // 2
