@@ -4,17 +4,14 @@ If the base-3 numeral x sits in grid row r, then for every target row
 j < r there are strings c <= d whose cells lie in row j with
 [d]_3 - [c]_3 = [x]_3 - [d]_3: the 3-term progression that forced the
 greedy sieve to push [x]_3 past row j.  This module constructs such a
-pair by digit recursion and exposes an independent brute-force oracle.
+pair digit by digit and exposes an independent brute-force oracle.
 
-Two equation shapes drive the recursion.  The standard shape keeps both
-witnesses in one row; rows 0 and 1 are solved directly by digit rewrites,
-and rows >= 2 strip the last digit, which maps row 3a / 3a+1 / 3a+2
-parents onto row 2a / 2a or 2a+1 / 2a+1 prefixes.  Stripping a trailing 1
-in a row-(3a+1) target leaves no standard sub-problem; instead the
-recursion switches to a shifted shape, c in row t and d in row t+1 with
-[d] - [c] = [y] + 1 - [d], whose nine (t mod 3, last digit) branches
-either stay shifted, fall back to a standard sub-problem, or restart from
-the numeral one below the stripped prefix.
+The construction is one loop over one step table, _STEPS.  Each step
+strips the last digit of x, which maps a row-(3a+r) target onto row 2a or
+2a+1, and appends one digit to each of c and d.  A trailing 1 under a
+row-(3a+1) target leaves the standard equation for a shifted one, which
+may restart from the numeral one below the stripped prefix.  Target rows
+0 and 1 are solved directly by digit rewrites.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from dataclasses import dataclass
 
 from .fractal import locate
 from .greedy import GreedyPartition, InsufficientRangeError
+from .grid import GridCoord, _coord_of, _zoom
 from .radix import BASE_3, canonicalize, represent
 
 
@@ -32,14 +30,14 @@ class NotApplicableError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """Internal recursion produced an invalid pair; carries the trace."""
+    """The construction produced an invalid pair; carries the trace."""
 
     def __init__(self, msg: str, trace: list[str]):
         super().__init__(f"{msg} (trace: {' > '.join(trace)})")
         self.trace = list(trace)
 
 
-# trace vocabulary, one tag per recursion step
+# trace vocabulary, one tag per construction step
 TAG_ROW0 = "row0"
 TAG_ROW1 = ["row1-case0", "row1-case1", "row1-case2", "row1-case3"]
 TAG_DEGENERATE = "degenerate"
@@ -65,7 +63,7 @@ class WitnessPair:
 
     @property
     def values(self) -> tuple[int, int, int]:
-        return int(self.c, 3), int(self.d, 3), int(self.x, 3)
+        return _value3(self.c), _value3(self.d), _value3(self.x)
 
     def as_dict(self, trace: list[str] | None = None) -> dict:
         rec = {
@@ -121,12 +119,12 @@ def _decompose_cases(x: str) -> tuple[str, str, str, int]:
 
 
 def witness(x: str, j: int) -> tuple[WitnessPair, list[str]]:
-    """Witness pair for target row j plus the trace of recursion branches."""
+    """Witness pair for target row j plus the trace of construction steps."""
     if j < 0:
         raise NotApplicableError(f"target row must be >= 0, got {j}")
-    _require_above(x, j)
+    at = _require_above(x, j)
     trace: list[str] = []
-    c, d = _standard(x, j, trace)
+    c, d = _construct(x, at, j, trace)
     pair = WitnessPair(x=x, target_row=j, c=c, d=d)
     _validate(pair, trace)
     return pair, trace
@@ -139,7 +137,7 @@ def witness_oracle(x: str, j: int, partition: GreedyPartition) -> WitnessPair | 
     row holds no witnesses below the partition bound.
     """
     _require_above(x, j)
-    v = int(x, 3)
+    v = _value3(x)
     if v >= partition.bound:
         raise InsufficientRangeError(
             f"[x]_3 = {v} is outside the sieved range [0, {partition.bound})",
@@ -158,11 +156,20 @@ def witness_oracle(x: str, j: int, partition: GreedyPartition) -> WitnessPair | 
 # ---------------------------------------------------------------------------
 # internals
 
-def _require_above(x: str, j: int) -> int:
-    row = locate(x).row  # also validates x
-    if row <= j:
-        raise NotApplicableError(f"{x!r} lies in row {row}, not below target row {j}")
-    return row
+def _require_above(x: str, j: int) -> GridCoord:
+    at = locate(x)  # also validates x
+    if at.row <= j:
+        raise NotApplicableError(f"{x!r} lies in row {at.row}, not below target row {j}")
+    return at
+
+
+def _value3(s: str) -> int:
+    """[s]_3, read 4000 digits per int(): int() refuses strings of more than 4300."""
+    v = 0
+    for i in range(0, len(s), 4000):
+        chunk = s[i:i + 4000]
+        v = v * 3 ** len(chunk) + int(chunk, 3)
+    return v
 
 
 def _row0_pair(x: str) -> tuple[str, str]:
@@ -194,83 +201,76 @@ def _row1_pair(x: str) -> tuple[str, str, int]:
     return c, d, case
 
 
-def _standard(x: str, t: int, trace: list[str]) -> tuple[str, str]:
-    """Solve [d] - [c] = [x] - [d] with c, d in row t; needs row(x) >= t."""
-    rx = locate(x).row
-    if rx == t:
+# One step per (shape, t mod 3, last digit of x): (trace tag or None, next
+# shape, bit b of the next target 2 * (t // 3) + b, digit appended to c,
+# digit appended to d); a peculiar step also subtracts 1 from the prefix.
+# Standard: [d] - [c] = [x] - [d] with c, d in row t.  Shifted:
+# [d] - [c] = [x] + 1 - [d] with c in row t, d in row t + 1.
+_STANDARD = "standard"
+_SHIFTED = "shifted"
+_STEPS = {
+    (_STANDARD, 0, "0"): (TAG_APPEND_EVEN, _STANDARD, 0, "0", "0"),
+    (_STANDARD, 0, "1"): (TAG_APPEND_EVEN, _STANDARD, 0, "1", "1"),
+    (_STANDARD, 0, "2"): (TAG_APPEND_EVEN, _STANDARD, 0, "0", "1"),
+    (_STANDARD, 1, "0"): (TAG_KEEP0, _STANDARD, 1, "0", "0"),
+    (_STANDARD, 1, "1"): (None, _SHIFTED, 0, "2", "0"),
+    (_STANDARD, 1, "2"): (TAG_KEEP2, _STANDARD, 0, "2", "2"),
+    (_STANDARD, 2, "0"): (TAG_APPEND_ODD, _STANDARD, 1, "2", "1"),
+    (_STANDARD, 2, "1"): (TAG_APPEND_ODD, _STANDARD, 1, "1", "1"),
+    (_STANDARD, 2, "2"): (TAG_APPEND_ODD, _STANDARD, 1, "2", "2"),
+    (_SHIFTED, 0, "0"): (TAG_PECULIAR, _STANDARD, 0, "0", "2"),
+    (_SHIFTED, 0, "1"): (TAG_ITERATIVE, _SHIFTED, 0, "1", "0"),
+    (_SHIFTED, 0, "2"): (TAG_SIMPLEST, _STANDARD, 0, "1", "2"),
+    (_SHIFTED, 1, "0"): (TAG_PECULIAR, _STANDARD, 1, "0", "2"),
+    (_SHIFTED, 1, "1"): (TAG_SIMPLEST, _STANDARD, 1, "0", "1"),
+    (_SHIFTED, 1, "2"): (TAG_ITERATIVE, _SHIFTED, 0, "2", "1"),
+    (_SHIFTED, 2, "0"): (TAG_ITERATIVE, _SHIFTED, 1, "2", "0"),
+    (_SHIFTED, 2, "1"): (TAG_ITERATIVE, _SHIFTED, 1, "1", "0"),
+    (_SHIFTED, 2, "2"): (TAG_ITERATIVE, _SHIFTED, 1, "2", "1"),
+}
+
+
+def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, str]:
+    """Solve the standard equation for x, which sits at cell `at`, and target row j.
+
+    Each step zooms the cell out to the prefix's, so no row check locates again.
+    """
+    digits = list(x)
+    p, q = at
+    shape, t = _STANDARD, j
+    c_tail, d_tail = [], []
+    while shape == _SHIFTED or (p > t and t >= 2):
+        a, r = divmod(t, 3)
+        tag, shape, bit, c_digit, d_digit = _STEPS[shape, r, digits.pop()]
+        p, q = _zoom(p, q)[:2]
+        if tag is not None:
+            trace.append(tag)
+        if tag == TAG_PECULIAR:
+            # minus 1: trailing 0s become 2s, the last nonzero digit drops by one; walk
+            # just those digits again (a leading 0 left behind keeps the cell)
+            i = len(digits) - 1
+            while digits[i] == "0":
+                i -= 1
+            digits[i:] = [str(int(digits[i]) - 1)] + ["2"] * (len(digits) - 1 - i)
+            for _ in range(len(digits) - i):
+                p, q = _zoom(p, q)[:2]
+            p, q = _coord_of("".join(digits[i:]), p, q)
+        c_tail.append(c_digit)
+        d_tail.append(d_digit)
+        t = 2 * a + bit
+    y = canonicalize("".join(digits))
+    if p == t:
         trace.append(TAG_DEGENERATE)
-        return x, x
-    if rx < t:
-        raise ConstructionError(f"row({x}) = {rx} < target {t}", trace)
-    if t == 0:
+        c = d = y
+    elif p < t:
+        raise ConstructionError(f"row({y}) = {p} < target {t}", trace)
+    elif t == 0:
         trace.append(TAG_ROW0)
-        return _row0_pair(x)
-    if t == 1:
-        c, d, case = _row1_pair(x)
+        c, d = _row0_pair(y)
+    else:
+        c, d, case = _row1_pair(y)
         trace.append(TAG_ROW1[case])
-        return c, d
-    a, r = divmod(t, 3)
-    last = x[-1]
-    stem = canonicalize(x[:-1])
-    if r == 0:
-        trace.append(TAG_APPEND_EVEN)
-        c1, d1 = _standard(stem, 2 * a, trace)
-        cd, dd = {"0": ("0", "0"), "1": ("1", "1"), "2": ("0", "1")}[last]
-    elif r == 2:
-        trace.append(TAG_APPEND_ODD)
-        c1, d1 = _standard(stem, 2 * a + 1, trace)
-        cd, dd = {"0": ("2", "1"), "1": ("1", "1"), "2": ("2", "2")}[last]
-    elif last == "0":
-        trace.append(TAG_KEEP0)
-        c1, d1 = _standard(stem, 2 * a + 1, trace)
-        cd = dd = "0"
-    elif last == "2":
-        trace.append(TAG_KEEP2)
-        c1, d1 = _standard(stem, 2 * a, trace)
-        cd = dd = "2"
-    else:
-        # row 3a+1 target, x ends in 1: switch to the shifted equation
-        c1, d1 = _shifted(stem, 2 * a, trace)
-        cd, dd = "2", "0"
-    return canonicalize(c1 + cd), canonicalize(d1 + dd)
-
-
-def _shifted(y: str, t: int, trace: list[str]) -> tuple[str, str]:
-    """Solve [d] - [c] = [y] + 1 - [d] with c in row t, d in row t+1."""
-    g, r = divmod(t, 3)
-    last = y[-1]
-    stem = canonicalize(y[:-1])
-    if r == 0:
-        if last == "0":
-            trace.append(TAG_PECULIAR)
-            c1, d1 = _standard(represent(int(stem, 3) - 1, BASE_3), 2 * g, trace)
-            cd, dd = "0", "2"
-        elif last == "1":
-            trace.append(TAG_ITERATIVE)
-            c1, d1 = _shifted(stem, 2 * g, trace)
-            cd, dd = "1", "0"
-        else:
-            trace.append(TAG_SIMPLEST)
-            c1, d1 = _standard(stem, 2 * g, trace)
-            cd, dd = "1", "2"
-    elif r == 1:
-        if last == "0":
-            trace.append(TAG_PECULIAR)
-            c1, d1 = _standard(represent(int(stem, 3) - 1, BASE_3), 2 * g + 1, trace)
-            cd, dd = "0", "2"
-        elif last == "1":
-            trace.append(TAG_SIMPLEST)
-            c1, d1 = _standard(stem, 2 * g + 1, trace)
-            cd, dd = "0", "1"
-        else:
-            trace.append(TAG_ITERATIVE)
-            c1, d1 = _shifted(stem, 2 * g, trace)
-            cd, dd = "2", "1"
-    else:
-        trace.append(TAG_ITERATIVE)
-        c1, d1 = _shifted(stem, 2 * g + 1, trace)
-        cd, dd = {"0": ("2", "0"), "1": ("1", "0"), "2": ("2", "1")}[last]
-    return canonicalize(c1 + cd), canonicalize(d1 + dd)
+    return canonicalize(c + "".join(c_tail[::-1])), canonicalize(d + "".join(d_tail[::-1]))
 
 
 def _validate(pair: WitnessPair, trace: list[str]) -> None:

@@ -179,6 +179,17 @@ def test_witness_row1_example_line(capsys):
                    '"trace":["row1-case3"]}\n')
 
 
+def test_witness_of_a_5000_digit_numeral(capsys):
+    # int(s, 3) refuses strings of more than 4300 digits by default
+    x = "21" * 2500
+    code, out, _ = run_cli(capsys, "witness", x, "--target-row", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["x"] == x and doc["trace"] == ["row0"]
+    c3, d3, x3 = doc["values_base3"]
+    assert c3 < d3 < x3 and d3 - c3 == x3 - d3
+
+
 def test_witness_has_no_direct_flag(capsys):
     code, out, _ = run_cli(capsys, "witness", "212", "--target-row", "1", "--direct")
     assert code == 2 and out == ""

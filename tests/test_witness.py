@@ -1,15 +1,33 @@
 """Witness pairs explaining greedy exclusions."""
 
+import itertools
 import json
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from stanleygrid import witness as witness_module
 from stanleygrid.fractal import locate, ternary_successor
 from stanleygrid.greedy import build_partition
 from stanleygrid.grid import row_of
+from stanleygrid.radix import BASE_3, canonicalize, represent
 from stanleygrid.witness import (
+    TAG_APPEND_EVEN,
+    TAG_APPEND_ODD,
+    TAG_DEGENERATE,
+    TAG_ITERATIVE,
+    TAG_KEEP0,
+    TAG_KEEP2,
+    TAG_PECULIAR,
+    TAG_ROW0,
+    TAG_ROW1,
+    TAG_SIMPLEST,
     ConstructionError,
     NotApplicableError,
+    _row0_pair,
+    _row1_pair,
     decompose,
     witness,
     witness_oracle,
@@ -170,8 +188,6 @@ def test_trace_tags_cover_the_three_shift_branches(part243):
     assert {"simplest", "iterative", "peculiar", "row0", "degenerate"} <= seen
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="witness recurses once per level; 1000 digits pass the default limit")
 def test_witness_of_a_1000_digit_string():
     x = "21" * 500
     row = locate(x).row
@@ -179,3 +195,170 @@ def test_witness_of_a_1000_digit_string():
     c3, d3, x3 = pair.values
     assert d3 - c3 == x3 - d3 and c3 < d3 < x3
     assert row_of(pair.c) == row_of(pair.d) == row // 2
+
+
+# ---------------------------------------------------------------------------
+# reference: the digit recursion the step-table loop replaced, one call per
+# stripped digit and one locate per standard level; its depth is the length
+# of x, so it only runs on strings of a few hundred digits at most
+
+
+def _standard(x: str, t: int, trace: list[str]) -> tuple[str, str]:
+    """Solve [d] - [c] = [x] - [d] with c, d in row t; needs row(x) >= t."""
+    rx = locate(x).row
+    if rx == t:
+        trace.append(TAG_DEGENERATE)
+        return x, x
+    if rx < t:
+        raise ConstructionError(f"row({x}) = {rx} < target {t}", trace)
+    if t == 0:
+        trace.append(TAG_ROW0)
+        return _row0_pair(x)
+    if t == 1:
+        c, d, case = _row1_pair(x)
+        trace.append(TAG_ROW1[case])
+        return c, d
+    a, r = divmod(t, 3)
+    last = x[-1]
+    stem = canonicalize(x[:-1])
+    if r == 0:
+        trace.append(TAG_APPEND_EVEN)
+        c1, d1 = _standard(stem, 2 * a, trace)
+        cd, dd = {"0": ("0", "0"), "1": ("1", "1"), "2": ("0", "1")}[last]
+    elif r == 2:
+        trace.append(TAG_APPEND_ODD)
+        c1, d1 = _standard(stem, 2 * a + 1, trace)
+        cd, dd = {"0": ("2", "1"), "1": ("1", "1"), "2": ("2", "2")}[last]
+    elif last == "0":
+        trace.append(TAG_KEEP0)
+        c1, d1 = _standard(stem, 2 * a + 1, trace)
+        cd = dd = "0"
+    elif last == "2":
+        trace.append(TAG_KEEP2)
+        c1, d1 = _standard(stem, 2 * a, trace)
+        cd = dd = "2"
+    else:
+        # row 3a+1 target, x ends in 1: switch to the shifted equation
+        c1, d1 = _shifted(stem, 2 * a, trace)
+        cd, dd = "2", "0"
+    return canonicalize(c1 + cd), canonicalize(d1 + dd)
+
+
+def _shifted(y: str, t: int, trace: list[str]) -> tuple[str, str]:
+    """Solve [d] - [c] = [y] + 1 - [d] with c in row t, d in row t+1."""
+    g, r = divmod(t, 3)
+    last = y[-1]
+    stem = canonicalize(y[:-1])
+    if r == 0:
+        if last == "0":
+            trace.append(TAG_PECULIAR)
+            c1, d1 = _standard(represent(int(stem, 3) - 1, BASE_3), 2 * g, trace)
+            cd, dd = "0", "2"
+        elif last == "1":
+            trace.append(TAG_ITERATIVE)
+            c1, d1 = _shifted(stem, 2 * g, trace)
+            cd, dd = "1", "0"
+        else:
+            trace.append(TAG_SIMPLEST)
+            c1, d1 = _standard(stem, 2 * g, trace)
+            cd, dd = "1", "2"
+    elif r == 1:
+        if last == "0":
+            trace.append(TAG_PECULIAR)
+            c1, d1 = _standard(represent(int(stem, 3) - 1, BASE_3), 2 * g + 1, trace)
+            cd, dd = "0", "2"
+        elif last == "1":
+            trace.append(TAG_SIMPLEST)
+            c1, d1 = _standard(stem, 2 * g + 1, trace)
+            cd, dd = "0", "1"
+        else:
+            trace.append(TAG_ITERATIVE)
+            c1, d1 = _shifted(stem, 2 * g, trace)
+            cd, dd = "2", "1"
+    else:
+        trace.append(TAG_ITERATIVE)
+        c1, d1 = _shifted(stem, 2 * g + 1, trace)
+        cd, dd = {"0": ("2", "0"), "1": ("1", "0"), "2": ("2", "1")}[last]
+    return canonicalize(c1 + cd), canonicalize(d1 + dd)
+
+
+def _by_recursion(x: str, j: int) -> tuple[str, str, list[str]]:
+    trace: list[str] = []
+    c, d = _standard(x, j, trace)
+    return c, d, trace
+
+
+def _by_loop(x: str, j: int) -> tuple[str, str, list[str]]:
+    pair, trace = witness(x, j)
+    return pair.c, pair.d, trace
+
+
+def test_loop_matches_recursion_on_every_exclusion_below_3_to_6():
+    checked = 0
+    peculiar = 0
+    for length in range(1, 7):
+        for digits in itertools.product("012", repeat=length):
+            x = "".join(digits)
+            if x[0] == "0":
+                continue
+            for j in range(locate(x).row):
+                got = _by_loop(x, j)
+                assert got == _by_recursion(x, j), (x, j)
+                peculiar += TAG_PECULIAR in got[2]
+                checked += 1
+    assert checked == 4457
+    assert peculiar > 0
+
+
+@settings(max_examples=100)
+@given(
+    st.builds(lambda lead, rest: lead + rest, st.sampled_from("12"),
+              st.text(alphabet="012", min_size=19, max_size=159)),
+    st.data(),
+)
+def test_loop_matches_recursion_on_long_strings(x, data):
+    row = locate(x).row
+    assume(row > 0)  # a {0,1}-string sits in row 0 and has no exclusion to explain
+    j = data.draw(st.integers(0, row - 1), label="target row")
+    c, d, trace = _by_loop(x, j)
+    assert (c, d, trace) == _by_recursion(x, j)
+    c3, d3, x3 = int(c, 3), int(d, 3), int(x, 3)
+    assert c3 < d3 < x3 and d3 - c3 == x3 - d3
+    assert row_of(c) == row_of(d) == j
+
+
+def test_witness_locates_only_x_c_and_d(monkeypatch):
+    located = []
+
+    def counting_locate(w):
+        located.append(w)
+        return locate(w)
+
+    monkeypatch.setattr(witness_module, "locate", counting_locate)
+    x = "21" * 100
+    for j in (0, 1, 2, 50, locate(x).row - 1):
+        located.clear()
+        pair, _ = witness(x, j)
+        assert located == [x, pair.c, pair.d]
+
+
+def test_witness_of_a_4000_digit_string_within_a_second():
+    x = "21" * 2000
+    row = locate(x).row
+    start = time.perf_counter()
+    pair, trace = witness(x, row // 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert len(trace) > 1000
+
+
+def test_witness_past_the_int_string_digit_limit():
+    # int(s, 3) refuses strings of more than 4300 digits by default
+    x = "21" * 2500
+    pair, _ = witness(x, 0)
+    c3, d3, x3 = pair.values
+    assert c3 < d3 < x3 and d3 - c3 == x3 - d3
+    horner = 0
+    for ch in x:
+        horner = 3 * horner + int(ch)
+    assert x3 == horner
