@@ -32,9 +32,10 @@ def cmd_convert(args) -> int:
     base = radix.RationalBase.parse(args.base)
     if args.from_digits is not None:
         value = radix.evaluate(args.from_digits, base)
-        print(value)
+        text = radix.to_decimal(value.numerator)
+        print(text if value.denominator == 1 else f"{text}/{radix.to_decimal(value.denominator)}")
     else:
-        print(radix.represent(int(args.value), base))
+        print(radix.represent(radix.from_decimal(args.value), base))
     return EXIT_OK
 
 
@@ -87,6 +88,8 @@ def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, max_value=args.max_value, max_rows=args.max_rows)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     if args.timings:
+        for r in report.results:
+            print(f"check {r.name} took {r.duration_s:.3f}s", file=sys.stderr)
         print(f"suite {report.suite} took {report.duration_s:.2f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -161,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-value", type=int, default=None)
     p.add_argument("--max-rows", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true", help="print durations to stderr")
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's duration, then the total, to stderr")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("grid", help="print a top-left window of the grid")

@@ -144,20 +144,21 @@ def traversal(count: int) -> list[tuple[str, GridCoord]]:
     while 3 ** (m + 1) < count:
         m += 1
     out: list[tuple[str, GridCoord]] = []
-
-    def walk(level: int, coord: GridCoord) -> None:
-        if len(out) >= count:
-            return
-        for d in range(3):
-            child = descend(coord, d)
-            if level == 0:
-                if len(out) < count:
-                    out.append((cell(*child), child))
-            else:
-                walk(level - 1, child)
-
-    walk(m, GridCoord(0, 0))
+    _walk(m, GridCoord(0, 0), count, out)
     return out
+
+
+def _walk(level: int, coord: GridCoord, count: int, out: list[tuple[str, GridCoord]]) -> None:
+    """Append the cells of the level-`level` halfZ at `coord` to `out`, up to `count` in all."""
+    if len(out) >= count:
+        return
+    for d in range(3):
+        child = descend(coord, d)
+        if level == 0:
+            if len(out) < count:
+                out.append((cell(*child), child))
+        else:
+            _walk(level - 1, child, count, out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ _DIGITS = "0123456789"
 # decrement mod 3, used by the base-3/2 carry rule
 _DEC3 = str.maketrans("012", "201")
 
+# decimal digits per int() or str() call: Python refuses conversions past 4300 digits
+_DECIMAL_CHUNK = 4000
+
 
 class InvalidDigitError(ValueError):
     """A digit character is outside the alphabet of the base."""
@@ -131,3 +134,39 @@ def add_two(w: str) -> str:
         w = "0" + w
         i = 0
     return w[:i] + w[i:].translate(_DEC3)
+
+
+def from_decimal(text: str) -> int:
+    """int(text) for a decimal numeral of any length.
+
+    A numeral longer than 4000 characters (an optional sign, then ASCII
+    digits) is read in halves until each piece fits one int() call.
+    """
+    if len(text) <= _DECIMAL_CHUNK:
+        return int(text)
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    digits = body[len(sign):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal numeral of {len(text)} characters")
+    value = _read_decimal(digits)
+    return -value if sign == "-" else value
+
+
+def _read_decimal(digits: str) -> int:
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    half = len(digits) // 2
+    low = digits[half:]
+    return _read_decimal(digits[:half]) * 10 ** len(low) + _read_decimal(low)
+
+
+def to_decimal(n: int) -> str:
+    """str(n) for an int of any size, split in halves until each piece fits one str() call."""
+    if n < 0:
+        return "-" + to_decimal(-n)
+    if n.bit_length() <= 3 * _DECIMAL_CHUNK:          # below 2^12000 < 10^4000
+        return str(n)
+    k = n.bit_length() * 30103 // 200000               # about half the digits: log10(2) ~ 0.30103
+    high, low = divmod(n, 10**k)
+    return to_decimal(high) + to_decimal(low).zfill(k)

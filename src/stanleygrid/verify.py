@@ -5,12 +5,21 @@ computations: digit algebra against exact Fraction arithmetic, the sieve
 against the grid, the grid against the fractal decomposition, witness
 construction against a brute-force oracle.  Reports carry no timestamps
 or timings, so repeated runs are byte-identical; wall-clock durations are
-kept separately on the report object for callers that want them.
+kept separately on the report and on each check for callers that want them.
+
+The radix and greedy checks with millions of cases keep one call per case
+to the code under test (`add_two`, `represent`) and take the sieve's rows
+as they are, but compute the independent side with numpy: the value of a
+digit string as one int64 matrix product over its padded digits, and every
+third term 2b - a of a row's pairs as one array.  Cases go through numpy
+one bounded block at a time (4096 strings, or about 4096 pairs of one
+row), so memory stays flat however far the sweep reaches.  A failing
+block reports the first counterexample in the order of the per-case scan,
+and the same count of cases up to it.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import os
@@ -18,12 +27,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import fractal, greedy, grid, radix, refdata, witness
 
 DEFAULT_MAX_VALUE = 3**12          # 531441
 DEFAULT_MAX_ROWS = 500
 DEFAULT_ROWS = 200                 # rows verify checks when --max-rows is not given
 CAP_ENV_VAR = "STANLEY_GRID_CAP"
+_BLOCK = 4096                      # cases per numpy block: strings, or one row's pairs
 
 
 class CapExceededError(RuntimeError):
@@ -36,6 +48,7 @@ class CheckResult:
     passed: bool
     checked: int
     detail: str = ""
+    duration_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -101,8 +114,24 @@ def check_cap(what: str, amount: int, rows: bool = False) -> None:
         raise CapExceededError(f"{what} is {amount}, beyond {kind} {cap} (raise via {CAP_ENV_VAR})")
 
 
+_last_lap = 0.0   # perf_counter() when the last check finished; run_suite resets it
+
+
+def _lap() -> float:
+    """Seconds since the last check finished, charged to the check finishing now.
+
+    Work shared by several checks (a sieve, say) is thus charged to the
+    first check after it, and the checks of a run sum to its duration.
+    """
+    global _last_lap
+    now = time.perf_counter()
+    spent, _last_lap = now - _last_lap, now
+    return spent
+
+
 def _result(name: str, passed: bool, checked: int, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), checked=checked, detail=detail)
+    return CheckResult(name=name, passed=bool(passed), checked=checked, detail=detail,
+                       duration_s=_lap())
 
 
 def _scan(name: str, cases: Iterable[str]) -> CheckResult:
@@ -111,12 +140,28 @@ def _scan(name: str, cases: Iterable[str]) -> CheckResult:
     The scan stops at the first counterexample; `checked` counts the cases
     run, the failing one included.
     """
+    return _scan_blocks(name, ((1, fault) for fault in cases))
+
+
+def _scan_blocks(name: str, blocks: Iterable[tuple[int, str]]) -> CheckResult:
+    """`_scan` over blocks of cases: each block yields (its case count, "") if
+    all its cases hold, else (the cases up to its first counterexample, that one).
+    """
     checked = 0
-    for fault in cases:
-        checked += 1
+    for count, fault in blocks:
+        checked += count
         if fault:
             return _result(name, False, checked, fault)
     return _result(name, True, checked)
+
+
+def _block(ok: np.ndarray, fault) -> tuple[int, str]:
+    """One block's (count, counterexample) from its mask of cases that hold;
+    fault(i) describes case i."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        return int(bad[0]) + 1, fault(int(bad[0]))
+    return len(ok), ""
 
 
 def _strings(max_len: int) -> Iterator[str]:
@@ -139,16 +184,64 @@ def _raises(exc: type[Exception], fn, *args) -> bool:
 # ---------------------------------------------------------------------------
 # radix
 
-def _carry_fault(w: str) -> str:
-    w2 = radix.add_two(w)
-    v1, e1 = radix.scaled_value(w)
-    v2, e2 = radix.scaled_value(w2)
-    # values v1/2^e1 + 2 == v2/2^e2 with e2 in {e1, e1+1}
-    if e2 == e1:
-        ok = v2 == v1 + 2 ** (e1 + 1)
-    else:
-        ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
-    return "" if ok and radix.is_canonical(w2) else f"add_two({w}) = {w2}"
+def _digit_values(strings: list[str], p: int, q: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """V = [w]_{p/q} * q^(width-1) of each string as int64, and a mask of the well-formed ones.
+
+    Left-padding a string with zeros to `width` keeps its value, so the
+    padded digits form one byte matrix and V is one product with the
+    weights q^i p^(width-1-i).  A string is well-formed if it is canonical,
+    has at most `width` digits and every digit lies in 0..p-1.
+    """
+    weights = [q**i * p ** (width - 1 - i) for i in range(width)]
+    assert (p - 1) * sum(weights) < 2**63, f"{width} digits in base {p}/{q} overflow int64"
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    fits = (lengths >= 1) & (lengths <= width)
+    if not fits.all():
+        strings = [s if 1 <= len(s) <= width else "" for s in strings]
+    raw = "".join([s.rjust(width, "0") for s in strings]).encode("ascii", "replace")
+    # bytes below "0" wrap to 208 and up, so no non-digit passes digits < p
+    digits = np.frombuffer(raw, dtype=np.uint8).reshape(len(strings), width) - ord("0")
+    lead = digits[np.arange(len(strings)), width - np.clip(lengths, 1, width)]
+    ok = fits & (digits < p).all(axis=1) & ((lengths == 1) | (lead != 0))
+    return digits.astype(np.int64) @ np.array(weights, dtype=np.int64), ok
+
+
+def _blocks_of(items: Iterable, size: int = _BLOCK) -> Iterator[list]:
+    it = iter(items)
+    while block := list(itertools.islice(it, size)):
+        yield block
+
+
+def _carry_rule(carry_length: int) -> CheckResult:
+    """add_two(w) is canonical and worth [w] + 2 for every string of at most carry_length digits.
+
+    At width W = carry_length + 1 that is V(add_two(w)) = V(w) + 2^W.
+    """
+    width = carry_length + 1
+
+    def blocks():
+        for ws in _blocks_of(_strings(carry_length)):
+            w2s = [radix.add_two(w) for w in ws]
+            v, _ = _digit_values(ws, 3, 2, width)
+            v2, ok = _digit_values(w2s, 3, 2, width)
+            yield _block(ok & (v2 == v + 2**width), lambda i: f"add_two({ws[i]}) = {w2s[i]}")
+    return _scan_blocks(f"carry-rule-lengths<={carry_length}", blocks())
+
+
+def _round_trip(count: int) -> CheckResult:
+    """represent(n, base) is canonical and worth n, for n < count in three bases.
+
+    The value comes from the digits alone: V = n * q^(W-1), W the longest string of the block.
+    """
+    def blocks():
+        for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
+            for ns in _blocks_of(range(count)):
+                ws = [radix.represent(n, base) for n in ns]
+                width = max(map(len, ws))
+                v, ok = _digit_values(ws, base.p, base.q, width)
+                want = np.array(ns, dtype=np.int64) * base.q ** (width - 1)
+                yield _block(ok & (v == want), lambda i: f"{ns[i]} in base {base} is {ws[i]}")
+    return _scan_blocks("round-trip-three-bases", blocks())
 
 
 def suite_radix(max_value: int) -> list[CheckResult]:
@@ -164,16 +257,8 @@ def suite_radix(max_value: int) -> list[CheckResult]:
     out.append(_result("base32-prefix-vs-A024629", got == want, len(ref),
                        f"got {got[:5]}..."))
 
-    def round_trips():
-        for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
-            for n in range(min(100_000, max_value)):
-                w = radix.represent(n, base)
-                ok = radix.evaluate(w, base) == n and radix.is_canonical(w)
-                yield "" if ok else f"{n} in base {base} is {w}"
-    out.append(_scan("round-trip-three-bases", round_trips()))
-
-    out.append(_scan(f"carry-rule-lengths<={carry_length}",
-                     map(_carry_fault, _strings(carry_length))))
+    out.append(_round_trip(min(100_000, max_value)))
+    out.append(_carry_rule(carry_length))
 
     out.append(_scan("leading-zeros-are-neutral", (
         "" if radix.evaluate("00" + w) == radix.evaluate(w) else f"00{w} != {w}"
@@ -187,32 +272,67 @@ def suite_radix(max_value: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # greedy
 
+def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
+    """rows-are-3free and skips-are-forced, in one pass over the sieve's rows.
+
+    For row j, every pair a < b of its terms gives c = 2b - a.  The row is
+    3-free if no c lies in row j, and every n that the sieve put in a later
+    row must equal some c: n skipped row j only because a, b, n is an AP.
+    A row's pairs go through numpy a block of about 4096 at a time, in the
+    order of itertools.combinations, the per-case order of the first check;
+    the second check's per-case order is (n, j).
+    """
+    limit = part.bound
+    owner = np.full(2 * limit, -1, dtype=np.int32)    # row of each value; every c < 2 * limit
+    for j, terms in enumerate(part.rows):
+        owner[list(terms)] = j
+    later = owner[:limit]
+    pairs = 0
+    ap_fault = ""
+    skip = None                                        # first unforced (n, j) in (n, j) order
+    for j, terms in enumerate(part.rows):
+        t = np.array(terms, dtype=np.int64)
+        hit = np.zeros(limit, dtype=bool)
+        step = max(1, _BLOCK // len(t))
+        for i in range(0, len(t), step):
+            # a = t[i:i + step] down, b = t[i + 1:] across; a real pair needs b's index above a's
+            a = t[i:i + step, None]
+            is_pair = np.arange(i + 1, len(t)) > np.arange(i, i + len(a))[:, None]
+            c = (2 * t[i + 1:] - a)[is_pair]
+            if not ap_fault:
+                bad = np.flatnonzero(owner[c] == j)
+                if bad.size:
+                    k = int(bad[0])
+                    a_k = int(np.broadcast_to(a, is_pair.shape)[is_pair][k])
+                    pairs += k + 1
+                    ap_fault = f"AP {a_k}, {(a_k + c[k]) // 2}, {c[k]}"
+                else:
+                    pairs += len(c)
+            hit[c[c < limit]] = True
+        unforced = np.flatnonzero((later > j) & ~hit)
+        if unforced.size and (skip is None or unforced[0] < skip[0]):
+            skip = int(unforced[0]), j
+
+    out = [_result("rows-are-3free", not ap_fault, pairs, ap_fault)]
+    if skip is None:
+        out.append(_result("skips-are-forced", True, int(later.sum())))
+    else:
+        n, j = skip
+        out.append(_result("skips-are-forced", False, int(later[:n].sum()) + j + 1,
+                           f"n={n} skipped row {j} without a witness"))
+    return out
+
+
 def suite_greedy(max_value: int) -> list[CheckResult]:
     out = []
     limit = min(3**9, max_value)
     part = greedy.build_partition(limit)
-    row_sets = [set(r) for r in part.rows]
 
     sizes_ok = sum(len(r) for r in part.rows) == limit
     assign_ok = all(n in part.rows[part.row_index(n)] for n in range(0, limit, 211))
     out.append(_result("rows-partition-the-range", sizes_ok and assign_ok, limit))
 
-    out.append(_scan("rows-are-3free", (
-        f"AP {a}, {b}, {2 * b - a}" if 2 * b - a in members else ""
-        for terms, members in zip(part.rows, row_sets)
-        for a, b in itertools.combinations(terms, 2))))
-
-    # greedy minimality: every skipped row must hold a completing pair
-    def skips():
-        for n in range(limit):
-            for j in range(part.row_index(n)):
-                row = part.rows[j]
-                members = row_sets[j]
-                lo = bisect.bisect_left(row, (n + 1) // 2)   # need 2b >= n
-                hi = bisect.bisect_left(row, n)
-                found = any((2 * row[t] - n) in members for t in range(hi - 1, lo - 1, -1))
-                yield "" if found else f"n={n} skipped row {j} without a witness"
-    out.append(_scan("skips-are-forced", skips()))
+    out += _row_checks(part)
 
     # bundled terms below the sieve bound; the rows hold every such term
     ref0 = [v for v in refdata.bundled("A005836").values if v < limit]
@@ -559,11 +679,12 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
     if name in ("theorem1", "all"):
         check_cap(f"the sieve bound for {mr} rows", greedy.first_term_bound(mr))
 
-    t0 = time.monotonic()
+    _lap()                             # the first check is charged from here
+    t0 = _last_lap
     results: list[CheckResult] = []
     for suite, run in _RUNNERS.items():
         if name in (suite, "all"):
             results += run(mv, mr)
     report = VerificationReport(suite=name, results=results)
-    report.duration_s = time.monotonic() - t0
+    report.duration_s = time.perf_counter() - t0
     return report

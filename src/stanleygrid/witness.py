@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .fractal import locate
 from .greedy import GreedyPartition, InsufficientRangeError
 from .grid import GridCoord, _coord_of, _zoom
-from .radix import BASE_3, canonicalize, represent
+from .radix import BASE_3, canonicalize, represent, to_decimal
 
 
 class NotApplicableError(ValueError):
@@ -78,7 +78,16 @@ class WitnessPair:
         return rec
 
     def to_json(self, trace: list[str] | None = None) -> str:
-        return json.dumps(self.as_dict(trace), separators=(",", ":"))
+        """as_dict as compact JSON.  The values go through radix.to_decimal, since
+        json.dumps writes ints with str(), which refuses more than 4300 digits."""
+        fields = []
+        for key, value in self.as_dict(trace).items():
+            if key == "values_base3":
+                text = "[" + ",".join(map(to_decimal, value)) + "]"
+            else:
+                text = json.dumps(value, separators=(",", ":"))
+            fields.append(f"{json.dumps(key)}:{text}")
+        return "{" + ",".join(fields) + "}"
 
 
 def decompose(x: str) -> tuple[str, str, str]:

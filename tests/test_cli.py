@@ -1,12 +1,14 @@
 """Command line behaviour and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from stanleygrid import cli
+from stanleygrid import cli, radix
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +190,49 @@ def test_witness_of_a_5000_digit_numeral(capsys):
     assert doc["x"] == x and doc["trace"] == ["row0"]
     c3, d3, x3 = doc["values_base3"]
     assert c3 < d3 < x3 and d3 - c3 == x3 - d3
+
+
+def read_numeral(text, base):
+    """The value of a numeral, read 1000 digits per int() call (int() refuses more than 4300)."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * base ** len(chunk) + int(chunk, base)
+    return value
+
+
+def run_within(capsys, seconds, *argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < seconds
+    assert code == 0, err
+    return out
+
+
+def test_witness_of_a_9200_digit_numeral(capsys):
+    # its values have about 4400 decimal digits, past what str() writes in one call
+    x = "21" * 4600
+    out = run_within(capsys, 10, "witness", x, "--target-row", "0")
+    doc = re.fullmatch(r'\{"x":"(\d+)","j":0,"c":"(\d+)","d":"(\d+)",'
+                       r'"values_base3":\[(\d+),(\d+),(\d+)\],"trace":\["row0"\]\}\n', out)
+    assert doc and doc[1] == x
+    c3, d3, x3 = (read_numeral(doc[i], 10) for i in (4, 5, 6))
+    assert (c3, d3, x3) == tuple(read_numeral(doc[i], 3) for i in (2, 3, 1))
+    assert x3 > 10**4300 and c3 < d3 < x3 and d3 - c3 == x3 - d3
+
+
+def test_convert_a_5001_digit_value(capsys):
+    value = "7" * 5001
+    out = run_within(capsys, 10, "convert", "--value", value)
+    v, e = radix.scaled_value(out.strip())
+    assert v == read_numeral(value, 10) * 2**e
+
+
+def test_convert_10000_base_3_digits(capsys):
+    digits = "21" * 5000
+    out = run_within(capsys, 10, "convert", "--base", "3", "--from-digits", digits)
+    assert len(out.strip()) == 4772
+    assert read_numeral(out.strip(), 10) == read_numeral(digits, 3)
 
 
 def test_witness_has_no_direct_flag(capsys):

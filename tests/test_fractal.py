@@ -239,6 +239,16 @@ def test_row_values_below():
     assert row_values_below(3, 22) == [21]
 
 
+@given(st.integers(0, 3**12 - 1))
+def test_row_values_below_agrees_with_row_of(v):
+    # row_values_below lists every value of a row below its bound, so the
+    # sample stays below the value cap; row_of reads v's numeral directly
+    row = row_of(represent(v, BASE_3))
+    values = row_values_below(row, v + 1)
+    assert values[-1] == v
+    assert all(row_of(represent(u, BASE_3)) == row for u in values[-8:])
+
+
 def test_check_minus1():
     rep = check_minus1(3**5)
     assert rep.passed and rep.counterexample is None

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stanleygrid.radix import (
     BASE_3,
@@ -12,9 +14,11 @@ from stanleygrid.radix import (
     add_two,
     canonicalize,
     evaluate,
+    from_decimal,
     is_canonical,
     represent,
     scaled_value,
+    to_decimal,
 )
 
 BASE32_PREFIX = ["0", "1", "2", "20", "21", "22", "210", "211", "212",
@@ -121,3 +125,45 @@ def test_canonicalize():
     assert canonicalize("000") == "0"
     assert canonicalize("0012") == "12"
     assert canonicalize("12") == "12"
+
+
+# canonical base-3/2 strings of 20 to 160 digits
+long_strings = st.builds(lambda lead, rest: lead + rest,
+                         st.sampled_from("12"), st.text("012", min_size=19, max_size=159))
+
+
+@given(long_strings)
+def test_add_two_adds_two_to_long_strings(w):
+    w2 = add_two(w)
+    v1, e1 = scaled_value(w)
+    v2, e2 = scaled_value(w2)
+    # v2 / 2^e2 == v1 / 2^e1 + 2, in integers
+    assert v2 * 2**e1 == (v1 + 2 ** (e1 + 1)) * 2**e2
+    assert is_canonical(w2) and e2 in (e1, e1 + 1)
+
+
+def test_decimal_conversion_past_the_int_str_limit():
+    # int() and str() refuse more than 4300 decimal digits; the numbers are
+    # built and read back here without one conversion of that size
+    n = 10**5000 + 12345
+    assert to_decimal(n) == "1" + "0" * 4995 + "12345"
+    assert to_decimal(-n) == "-" + to_decimal(n)
+    assert from_decimal("1" + "0" * 4995 + "12345") == n
+    assert from_decimal("+" + "9" * 9000) == 10**9000 - 1
+    assert from_decimal("-" + "0" * 4500 + "7") == -7
+    big = 3**20000                                   # 9543 decimal digits
+    text = to_decimal(big)
+    assert len(text) == 9543 and text[-4:] == str(big % 10**4).zfill(4)
+    assert int(text[:4000]) * 10 ** (len(text) - 4000) + from_decimal(text[4000:]) == big
+    assert from_decimal(text) == big
+
+
+def test_decimal_conversion_keeps_short_numbers_as_int_and_str_do():
+    for text in ("0", "12", " 7 ", "+5", "-3", "1_000", "9" * 4000):
+        assert from_decimal(text) == int(text)
+    for n in (0, 5, -5, 10**3999):
+        assert to_decimal(n) == str(n)
+    with pytest.raises(ValueError):
+        from_decimal("12x")
+    with pytest.raises(ValueError):
+        from_decimal("1" * 4000 + "x")

@@ -1,6 +1,9 @@
 """The verify report: every check's name, order and count, and what a failing check says."""
 
+import bisect
 import dataclasses
+import itertools
+import re
 
 import pytest
 
@@ -53,6 +56,23 @@ def test_small_bound_report_is_pinned(capsys):
     assert capsys.readouterr().out == SMALL_REPORT
 
 
+def test_timings_give_one_stderr_line_per_check(capsys):
+    code = cli.main(["verify", "--suite", "all", "--max-value", "2187", "--max-rows", "20",
+                     "--timings"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out == SMALL_REPORT
+    checks = [ln.split()[1] for ln in out.splitlines()[:-1]]
+    lines = err.splitlines()
+    assert len(checks) == 36 and len(lines) == 37
+    times = [re.fullmatch(rf"check {re.escape(name)} took (\d+\.\d{{3}})s", ln)
+             for name, ln in zip(checks, lines)]
+    assert all(times), lines
+    total = re.fullmatch(r"suite all took (\d+\.\d{2})s", lines[-1])
+    assert total
+    # work shared by several checks is charged to the first of them, so the lines add up
+    assert abs(sum(float(m[1]) for m in times) - float(total[1])) < 0.05
+
+
 def wrong_on(args, value):
     """A mutant maker: the mutant returns `value` for `args`, the real result elsewhere."""
     return lambda real: lambda *a: value if a == args else real(*a)
@@ -62,14 +82,34 @@ def flipped_at_40(real):
     return lambda prefix, n: (not real(prefix, n)) if n == 40 else real(prefix, n)
 
 
+def moved(part, n, row):
+    """`part` with n taken out of its row and put into `row`, rows kept increasing."""
+    rows = [list(r) for r in part.rows]
+    rows[part.row_index(n)].remove(n)
+    bisect.insort(rows[row], n)
+    assignment = part._assignment.copy()
+    assignment[n] = row
+    return greedy.GreedyPartition(part.bound, tuple(map(tuple, rows)), assignment)
+
+
+def sieve_moving(n, row):
+    """A mutant maker for build_partition: n is sieved into `row`."""
+    return lambda real: lambda limit: moved(real(limit), n, row)
+
+
 # (suite, module, function, its mutant maker, the check that must catch it,
 #  the number of cases that check runs up to and including the wrong one)
 MUTANTS = [
     # "0", 2 one-digit and 6 two-digit strings come first; "122" is the 9th three-digit one
     ("radix", radix, "add_two", wrong_on(("122",), "122"), "carry-rule-lengths<=7", 18),
+    # 2187 cases per base; base 5/3 comes third
+    ("radix", radix, "represent", wrong_on((100, radix.RationalBase(5, 3)), "1"),
+     "round-trip-three-bases", 2 * 2187 + 101),
     # row 0 is probed first, at n = 0, 1, ..., 40
     ("greedy", greedy, "is_ap_free_extension", flipped_at_40,
      "extension-probe-matches-definition", 41),
+    # 16 belongs to row 2; the values below it skip 10 rows in all
+    ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
     ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193),
     # "1210" is 48 in base 3, entry 48 of the walk
@@ -89,7 +129,9 @@ MUTANTS = [
 
 
 @pytest.mark.parametrize("suite,module,fn,mutant,check,checked", MUTANTS,
-                         ids=[m[0] for m in MUTANTS])
+                         # a suite's later mutants add the check they trip to its name
+                         ids=[m[0] if m[0] not in {e[0] for e in MUTANTS[:i]} else f"{m[0]}-{m[4]}"
+                              for i, m in enumerate(MUTANTS)])
 def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, check, checked):
     monkeypatch.setattr(module, fn, mutant(getattr(module, fn)))
     report = verify.run_suite(suite, max_value=2187, max_rows=20)
@@ -97,3 +139,99 @@ def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, 
     assert check in failed
     assert all(r.detail for r in failed.values()), failed
     assert failed[check].checked == checked
+
+
+# ---------------------------------------------------------------------------
+# The per-case scans that the numpy checks replaced, kept as their reference.
+# Each yields "" for a case that holds and its counterexample otherwise.
+
+def carry_faults(carry_length):
+    def fault(w):
+        w2 = radix.add_two(w)
+        v1, e1 = radix.scaled_value(w)
+        v2, e2 = radix.scaled_value(w2)
+        # values v1/2^e1 + 2 == v2/2^e2 with e2 in {e1, e1+1}
+        if e2 == e1:
+            ok = v2 == v1 + 2 ** (e1 + 1)
+        else:
+            ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
+        return "" if ok and radix.is_canonical(w2) else f"add_two({w}) = {w2}"
+    return map(fault, verify._strings(carry_length))
+
+
+def round_trip_faults(count):
+    for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
+        for n in range(count):
+            w = radix.represent(n, base)
+            ok = radix.evaluate(w, base) == n and radix.is_canonical(w)
+            yield "" if ok else f"{n} in base {base} is {w}"
+
+
+def ap_faults(part):
+    row_sets = [set(r) for r in part.rows]
+    return (f"AP {a}, {b}, {2 * b - a}" if 2 * b - a in members else ""
+            for terms, members in zip(part.rows, row_sets)
+            for a, b in itertools.combinations(terms, 2))
+
+
+def skip_faults(part):
+    row_sets = [set(r) for r in part.rows]
+    for n in range(part.bound):
+        for j in range(part.row_index(n)):
+            row = part.rows[j]
+            members = row_sets[j]
+            lo = bisect.bisect_left(row, (n + 1) // 2)   # need 2b >= n
+            hi = bisect.bisect_left(row, n)
+            found = any((2 * row[t] - n) in members for t in range(hi - 1, lo - 1, -1))
+            yield "" if found else f"n={n} skipped row {j} without a witness"
+
+
+def per_case(cases):
+    """(passed, checked, detail) of a scan that stops at its first counterexample."""
+    checked = 0
+    for fault in cases:
+        checked += 1
+        if fault:
+            return False, checked, fault
+    return True, checked, ""
+
+
+def outcome(result):
+    return result.passed, result.checked, result.detail
+
+
+def assert_row_checks_match(part):
+    ap, skips = verify._row_checks(part)
+    assert (ap.name, skips.name) == ("rows-are-3free", "skips-are-forced")
+    assert outcome(ap) == per_case(ap_faults(part))
+    assert outcome(skips) == per_case(skip_faults(part))
+
+
+def test_numpy_checks_match_the_per_case_scans_at_the_small_bound():
+    assert outcome(verify._carry_rule(7)) == per_case(carry_faults(7)) == (True, 2187, "")
+    assert outcome(verify._round_trip(2187)) == per_case(round_trip_faults(2187))
+    assert_row_checks_match(greedy.build_partition(2187))
+
+
+# 19683 strings of at most 9 digits make five blocks of 4096: "2122" is in the
+# first, "120000000" (index 10935) in the third and "222222222" is the last string
+@pytest.mark.parametrize("w,checked", [("2122", 72), ("120000000", 10936), ("222222222", 19683)])
+def test_carry_rule_matches_the_per_case_scan_under_a_mutant(monkeypatch, w, checked):
+    monkeypatch.setattr(radix, "add_two", wrong_on((w,), w)(radix.add_two))
+    got = outcome(verify._carry_rule(9))
+    assert got == per_case(carry_faults(9)) == (False, checked, f"add_two({w}) = {w}")
+
+
+def test_round_trip_matches_the_per_case_scan_under_a_mutant(monkeypatch):
+    base = radix.RationalBase(5, 3)
+    monkeypatch.setattr(radix, "represent", wrong_on((99999, base), "1")(radix.represent))
+    got = outcome(verify._round_trip(100_000))
+    assert got == per_case(round_trip_faults(100_000)) == (False, 300_000, "99999 in base 5/3 is 1")
+
+
+@pytest.mark.parametrize("n,row", [(16, 1), (16, 3), (1502, 0), (2186, 9)],
+                         ids=["16-to-earlier", "16-to-later", "1502-to-row-0", "2186-to-row-9"])
+def test_row_checks_match_the_per_case_scans_on_a_moved_value(n, row):
+    part = greedy.build_partition(2187)
+    assert part.row_index(n) != row
+    assert_row_checks_match(moved(part, n, row))
