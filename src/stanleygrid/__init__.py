@@ -18,7 +18,6 @@ from .greedy import (
     InsufficientRangeError,
     build_partition,
     cross_sequence,
-    is_ap_free_extension,
 )
 from .grid import GridCoord, GridWindow, MalformedStringError, binary_string, cell, main_suffix, row_of, window
 from .radix import (
@@ -31,7 +30,7 @@ from .radix import (
     evaluate,
     represent,
 )
-from .refdata import ReferenceSequence, bundled, load_bfile, parse_bfile
+from .refdata import ReferenceSequence, bundled, parse_bfile
 from .verify import VerificationReport, run_suite
 # The headline construction function lives at stanleygrid.witness.witness;
 # re-exporting it here would shadow the submodule, so only the helpers and

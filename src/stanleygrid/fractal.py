@@ -164,27 +164,22 @@ def _walk(level: int, coord: GridCoord, count: int, out: list[tuple[str, GridCoo
 # ---------------------------------------------------------------------------
 # row contents by value, without materializing cells
 
-def row_values_by_length(row: int, length: int) -> tuple[int, ...]:
+_Memo = dict[tuple[int, int], tuple[int, ...]]
+
+
+def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
     """Sorted base-3 values of the length-`length` strings in grid row `row`.
 
     Stripping the last digit maps row 3a into row 2a (digits 0/1), row
     3a+1 into row 2a (digit 2) or 2a+1 (digit 0), and row 3a+2 into row
     2a+1 (digits 1/2); running that recursion forward builds the value
     sets without touching any cell.
-    """
-    return _row_values(row, length, {})
-
-
-_Memo = dict[tuple[int, int], tuple[int, ...]]
-
-
-def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
-    """row_values_by_length through the caller's memo, which lives as long as that call.
 
     Row 3a+1 draws on two rows one digit shorter, so without a memo the
-    recursion would branch at every level.  A shorter string extends only
-    if it is not "0" (that would create a leading zero), the one string
-    worth 0, hence the `if v` filters.
+    recursion would branch at every level; the caller's memo lives as long
+    as that call.  A shorter string extends only if it is not "0" (that
+    would create a leading zero), the one string worth 0, hence the `if v`
+    filters.
     """
     if row < 0 or length < 1:
         return ()

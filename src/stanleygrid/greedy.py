@@ -19,7 +19,6 @@ of n's values at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,19 +69,6 @@ def first_term_bound(count: int) -> int:
     if count <= 0:
         return 1
     return int(represent(2 * (count - 1), BASE_3_2), 3) + 1
-
-
-def is_ap_free_extension(terms: Sequence[int] | Iterable[int], n: int) -> bool:
-    """Would appending n to this 3-free set keep it 3-free?
-
-    All existing terms are assumed < n, so only APs (a, b, n) with
-    a = 2b - n can appear; probe each b with 2b >= n.
-    """
-    pool = set(terms)
-    for b in pool:
-        if 2 * b >= n and (2 * b - n) in pool:
-            return False
-    return True
 
 
 def build_partition(limit: int) -> GreedyPartition:

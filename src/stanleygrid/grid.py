@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .radix import BASE_3_2, evaluate, is_canonical
+from .radix import is_canonical
 
 
 class MalformedStringError(ValueError):
@@ -76,25 +75,20 @@ def _zoom(i: int, j: int) -> tuple[int, int, int]:
     return 2 * a + k // 3, j >> 1, k % 3
 
 
-def _string_at(i: int, j: int) -> str:
-    """Inverse of _coord_of: the string in cell (i, j), for i, j >= 0.
+def cell(i: int, j: int) -> str:
+    """The string in cell (i, j): the inverse of _coord_of.
 
     Zooms out to the origin, reading one digit per level.
     """
+    if i < 0:
+        raise ValueError(f"row index must be >= 0, got {i}")
+    if j < 0:
+        raise ValueError(f"column index must be >= 0, got {j}")
     digits = []
     while i or j:
         i, j, d = _zoom(i, j)
         digits.append("012"[d])
     return "".join(reversed(digits)) or "0"
-
-
-def cell(i: int, j: int) -> str:
-    """The string in cell (i, j), read digit by digit through the halfZ zoom."""
-    if i < 0:
-        raise ValueError(f"row index must be >= 0, got {i}")
-    if j < 0:
-        raise ValueError(f"column index must be >= 0, got {j}")
-    return _string_at(i, j)
 
 
 def main_suffix(w: str) -> str:
@@ -114,12 +108,6 @@ def row_of(w: str) -> int:
     """
     _check_ternary(w)
     return _coord_of(w)[0]
-
-
-def value_fraction(w: str) -> Fraction:
-    """Exact base-3/2 value of a grid string."""
-    _check_ternary(w)
-    return evaluate(w, BASE_3_2)
 
 
 @dataclass(frozen=True)

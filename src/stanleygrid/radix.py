@@ -72,10 +72,9 @@ def is_canonical(w: str) -> bool:
 def _check_digits(w: str, base: RationalBase) -> None:
     if not w:
         raise InvalidDigitError("empty digit string")
-    allowed = _DIGITS[: base.p]
-    for ch in w:
-        if ch not in allowed:
-            raise InvalidDigitError(f"digit {ch!r} not valid in base {base}")
+    rest = w.lstrip(_DIGITS[: base.p])        # from the first digit outside the base on
+    if rest:
+        raise InvalidDigitError(f"digit {rest[0]!r} not valid in base {base}")
 
 
 def represent(n: int, base: RationalBase = BASE_3_2) -> str:

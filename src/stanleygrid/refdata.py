@@ -54,15 +54,6 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def load_bfile(path) -> ReferenceSequence:
-    """Load a b-file from an arbitrary path (offset taken from first index)."""
-    with open(path, encoding="ascii") as fh:
-        terms = parse_bfile(fh.read())
-    if not terms:
-        raise BFileFormatError(f"{path}: no terms")
-    return ReferenceSequence(sequence_id=str(path), offset=terms[0][0], terms=terms)
-
-
 def bundled(sequence_id: str) -> ReferenceSequence:
     """Load one of the bundled reference prefixes by its OEIS id."""
     sid = sequence_id.upper()

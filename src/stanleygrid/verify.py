@@ -3,9 +3,10 @@
 Each suite re-checks one slice of the package against independent
 computations: digit algebra against exact Fraction arithmetic, the sieve
 against the grid, the grid against the fractal decomposition, witness
-construction against a brute-force oracle.  Reports carry no timestamps
-or timings, so repeated runs are byte-identical; wall-clock durations are
-kept separately on the report and on each check for callers that want them.
+construction against a brute-force oracle and its step table against the
+digit rules.  Reports carry no timestamps or timings, so repeated runs are
+byte-identical; wall-clock durations are kept separately on the report and
+on each check for callers that want them.
 
 The radix and greedy checks with millions of cases keep one call per case
 to the code under test (`add_two`, `represent`) and take the sieve's rows
@@ -354,16 +355,6 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
     refx = [v for v in refdata.bundled("A265316").values if v < limit]
     got = greedy.cross_sequence(part, len(refx))
     out.append(_result("cross-prefix-vs-A265316", got == refx, len(refx), f"got {got}"))
-
-    def probes():
-        for i in (0, 1, 2):
-            for n in range(90):
-                prefix = [t for t in part.row(i) if t < n]
-                probe = greedy.is_ap_free_extension(prefix, n)
-                # brute force over ordered pairs: n completes an AP iff n - b == b - a
-                brute = not any(n - b == b - a for a in prefix for b in prefix if a < b)
-                yield "" if probe == brute else f"row {i}, n={n}: probe {probe}, pairs {brute}"
-    out.append(_scan("extension-probe-matches-definition", probes()))
     return out
 
 
@@ -431,7 +422,7 @@ def suite_grid() -> list[CheckResult]:
 
     def by_value():
         for i in range(13):
-            vals = [grid.value_fraction(w) for w in win.cells[i]]
+            vals = [radix.evaluate(w) for w in win.cells[i]]
             vset = set(vals)
             for a, b in itertools.combinations(vals, 2):
                 ap = a != b and 2 * b - a in vset and max(a, b) == b
@@ -592,7 +583,43 @@ def suite_witness(max_value: int) -> list[CheckResult]:
         "" if _raises(witness.NotApplicableError, witness.witness, w, j)
         else f"witness({w}, {j}) raised no NotApplicableError"
         for w, j in (("1", 0), ("2", 1), ("0", 0)))))
+
+    out.append(_witness_steps())
     return out
+
+
+def _witness_steps() -> CheckResult:
+    """Each witness._STEPS entry follows the digit rules, and no smaller step does.
+
+    Write s, s' for the current and next shape (1 = shifted), pi = 1 for a
+    peculiar step, e for the stripped digit and c_d, d_d for the digits
+    appended to c and d.  The progression survives the step iff
+    3 (s' - pi) + 2 d_d = c_d + e + s.  The rows, read from the grid: c' in
+    row 2a + bit must give c in row 3a + r, and d' in row 2a + bit + s' must
+    give d in row 3a + r + s.  a = 0 suffices, since one more a adds 2 to
+    each prefix row and 3 to the row it gives.  Of the 72 tuples
+    (pi, s', bit, c_d, d_d), the table must take the smallest allowed one,
+    so it makes no free choice.
+    """
+    def fault(key, step) -> str:
+        shape, r, e = key
+        s = int(shape == witness._SHIFTED)
+
+        def allowed(pi, s2, bit, c_d, d_d):
+            return (3 * (s2 - pi) + 2 * d_d == c_d + int(e) + s
+                    and fractal.descend(grid.GridCoord(bit, 0), c_d).row == r
+                    and fractal.descend(grid.GridCoord(bit + s2, 0), d_d).row == r + s)
+
+        tag, shape2, bit, c_d, d_d = step
+        got = (int(tag == witness.TAG_PECULIAR), int(shape2 == witness._SHIFTED),
+               bit, int(c_d), int(d_d))
+        if not allowed(*got):
+            return f"step {key} -> {step} breaks a digit rule"
+        best = min(t for t in itertools.product((0, 1), (0, 1), (0, 1), range(3), range(3))
+                   if allowed(*t))
+        return "" if got == best else f"step {key} -> {step} is not the smallest allowed {best}"
+    return _scan("witness-steps-follow-the-digit-rules",
+                 itertools.starmap(fault, witness._STEPS.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from stanleygrid.fractal import (
     halfz_of,
     locate,
     row_values_below,
-    row_values_by_length,
     ternary_successor,
     traversal,
     zoom_coord,
@@ -211,14 +210,6 @@ def test_traversal_carry_depth_matches_shared_level():
         assert tuple(zoom_coord(*a)) == tuple(zoom_coord(*b))
 
 
-def test_row_values_by_length():
-    assert row_values_by_length(0, 1) == (0, 1)
-    assert row_values_by_length(1, 1) == (2,)
-    assert row_values_by_length(2, 1) == ()
-    assert row_values_by_length(0, 2) == (3, 4)
-    assert row_values_by_length(1, 2) == (5, 6)
-
-
 def test_row_values_keep_nothing_after_returning():
     tracemalloc.start()
     try:
@@ -233,6 +224,10 @@ def test_row_values_keep_nothing_after_returning():
 
 def test_row_values_below():
     assert row_values_below(0, 1) == [0]
+    # one digit: "0", "1" in row 0, "2" in row 1, none in row 2; two digits: 3, 4 and 5, 6
+    assert row_values_below(2, 3) == []
+    assert row_values_below(0, 9) == [0, 1, 3, 4]
+    assert row_values_below(1, 9) == [2, 5, 6]
     assert row_values_below(0, 41) == [0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]
     assert row_values_below(1, 84) == [2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45, 54, 83]
     assert row_values_below(2, 22) == [7, 8, 16, 17, 19, 20]

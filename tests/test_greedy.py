@@ -11,7 +11,6 @@ from stanleygrid.greedy import (
     build_partition,
     cross_sequence,
     first_term_bound,
-    is_ap_free_extension,
 )
 from stanleygrid.radix import BASE_3, represent
 
@@ -65,15 +64,6 @@ def test_rows_are_3free(part729):
         for bi, b in enumerate(terms):
             for a in terms[:bi]:
                 assert 2 * b - a not in members, (a, b, 2 * b - a)
-
-
-def test_extension_probe():
-    assert not is_ap_free_extension([0, 1], 2)      # 0,1,2
-    assert is_ap_free_extension([2], 5)
-    assert is_ap_free_extension([2, 5], 6)
-    assert not is_ap_free_extension([2, 5, 6], 7)   # 5,6,7
-    assert not is_ap_free_extension([2, 5, 6], 8)   # 2,5,8
-    assert is_ap_free_extension([], 0)
 
 
 def test_small_numbers_land_where_expected(part729):

@@ -12,7 +12,6 @@ from stanleygrid.grid import (
     cell,
     main_suffix,
     row_of,
-    value_fraction,
     window,
 )
 from stanleygrid.radix import add_two
@@ -99,12 +98,6 @@ def test_every_short_string_in_one_cell():
                 assert s in seen, s
                 i, j = seen[s]
                 assert row_of(s) == i
-
-
-def test_value_fraction():
-    from fractions import Fraction
-    assert value_fraction("212021") == 31
-    assert value_fraction("11") == Fraction(5, 2)
 
 
 def test_window_serialization():

@@ -121,6 +121,18 @@ def test_evaluate_rejects_digits_at_or_above_p():
         evaluate("1x2")
 
 
+@pytest.mark.parametrize("fn,w,bad,base", [
+    (add_two, "1x3", "x", "3/2"),
+    (evaluate, "0129", "9", "3/2"),
+    (lambda w: evaluate(w, BASE_3), "abc", "a", "3"),
+    (lambda w: evaluate(w, RationalBase(2)), "2220", "2", "2"),
+])
+def test_a_bad_digit_error_names_the_first_bad_digit(fn, w, bad, base):
+    with pytest.raises(InvalidDigitError) as err:
+        fn(w)
+    assert str(err.value) == f"digit {bad!r} not valid in base {base}"
+
+
 def test_canonicalize():
     assert canonicalize("000") == "0"
     assert canonicalize("0012") == "12"

@@ -7,7 +7,6 @@ from stanleygrid.refdata import (
     BFileFormatError,
     bundled,
     bundled_ids,
-    load_bfile,
     parse_bfile,
 )
 
@@ -54,15 +53,3 @@ def test_prefixes_match_computation():
     assert bundled("A005836").values == no2
     cross = bundled("A265316").values
     assert cross == [int(represent(2 * i), 3) for i in range(10)]
-
-
-def test_load_bfile_from_path(tmp_path):
-    p = tmp_path / "b000001.txt"
-    p.write_text("3 10\n4 20\n")
-    seq = load_bfile(p)
-    assert seq.offset == 3
-    assert seq.values == [10, 20]
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(BFileFormatError):
-        load_bfile(empty)

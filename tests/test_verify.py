@@ -23,7 +23,6 @@ ok   row1-prefix-vs-A323398 (checked 16)
 ok   row0-is-the-no-2-set (checked 2187)
 ok   row1-is-the-single-2-set (checked 2187)
 ok   cross-prefix-vs-A265316 (checked 10)
-ok   extension-probe-matches-definition (checked 270)
 ok   top-left-corner (checked 24)
 ok   columns-follow-add-two (checked 1920)
 ok   strings-upto-len6-unique (checked 729)
@@ -42,6 +41,7 @@ ok   26-digit-example (checked 1)
 ok   all-exclusions-have-witnesses (checked 20611)
 ok   decompose-reassembles (checked 602)
 ok   rejects-impossible-targets (checked 3)
+ok   witness-steps-follow-the-digit-rules (checked 18)
 ok   bundled-bfiles-load (checked 4)
 ok   bfile-parser (checked 2)
 ok   first-terms-read-down-column-0 (checked 20)
@@ -78,10 +78,6 @@ def wrong_on(args, value):
     return lambda real: lambda *a: value if a == args else real(*a)
 
 
-def flipped_at_40(real):
-    return lambda prefix, n: (not real(prefix, n)) if n == 40 else real(prefix, n)
-
-
 def moved(part, n, row):
     """`part` with n taken out of its row and put into `row`, rows kept increasing."""
     rows = [list(r) for r in part.rows]
@@ -105,13 +101,12 @@ MUTANTS = [
     # 2187 cases per base; base 5/3 comes third
     ("radix", radix, "represent", wrong_on((100, radix.RationalBase(5, 3)), "1"),
      "round-trip-three-bases", 2 * 2187 + 101),
-    # row 0 is probed first, at n = 0, 1, ..., 40
-    ("greedy", greedy, "is_ap_free_extension", flipped_at_40,
-     "extension-probe-matches-definition", 41),
     # 16 belongs to row 2; the values below it skip 10 rows in all
     ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
     ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193),
+    # row 0 starts "0", "1", "10": worth 0, 1, 2, its first pair ends an AP
+    ("grid", radix, "evaluate", wrong_on(("10",), 2), "rows-are-3free-by-value", 1),
     # "1210" is 48 in base 3, entry 48 of the walk
     ("fractal", fractal, "locate", wrong_on(("1210",), grid.GridCoord(0, 0)),
      "traversal-counts-in-ternary", 49),
@@ -139,6 +134,23 @@ def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, 
     assert check in failed
     assert all(r.detail for r in failed.values()), failed
     assert failed[check].checked == checked
+
+
+# (standard, 2, "0") is the 7th step and may also be the peculiar step below, the
+# larger of the two it allows; (shifted, 1, "1") is the 14th, and appending "2" to d
+# there keeps the row of d but not the progression
+@pytest.mark.parametrize("key,step,checked,why", [
+    ((witness._STANDARD, 2, "0"), (witness.TAG_PECULIAR, witness._STANDARD, 1, "1", "2"), 7,
+     "is not the smallest allowed (0, 0, 1, 2, 1)"),
+    ((witness._SHIFTED, 1, "1"), (witness.TAG_SIMPLEST, witness._STANDARD, 1, "0", "2"), 14,
+     "breaks a digit rule"),
+], ids=["not-the-smallest", "breaks-a-rule"])
+def test_witness_steps_check_names_the_wrong_step(monkeypatch, key, step, checked, why):
+    assert verify._witness_steps().checked == 18
+    monkeypatch.setitem(witness._STEPS, key, step)
+    got = verify._witness_steps()
+    assert (got.passed, got.checked) == (False, checked)
+    assert got.detail == f"step {key} -> {step} {why}"
 
 
 # ---------------------------------------------------------------------------
