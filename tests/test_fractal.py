@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from stanleygrid.fractal import (
     WindowShapeError,
+    _row_values,
     check_minus1,
     check_zero_column,
     descend,
@@ -208,6 +209,14 @@ def test_traversal_carry_depth_matches_shared_level():
             b = tuple(zoom_coord(*b))
         assert a != b
         assert tuple(zoom_coord(*a)) == tuple(zoom_coord(*b))
+
+
+def test_row_values_by_length():
+    assert _row_values(0, 1, {}) == (0, 1)
+    assert _row_values(1, 1, {}) == (2,)
+    assert _row_values(2, 1, {}) == ()
+    assert _row_values(0, 2, {}) == (3, 4)
+    assert _row_values(1, 2, {}) == (5, 6)
 
 
 def test_row_values_keep_nothing_after_returning():

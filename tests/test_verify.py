@@ -101,6 +101,10 @@ MUTANTS = [
     # 2187 cases per base; base 5/3 comes third
     ("radix", radix, "represent", wrong_on((100, radix.RationalBase(5, 3)), "1"),
      "round-trip-three-bases", 2 * 2187 + 101),
+    # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
+    # so with 25 sieved into it its second pair ends an AP
+    ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
+     128 * 127 // 2 + 127 * 126 // 2 + 2),
     # 16 belongs to row 2; the values below it skip 10 rows in all
     ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
