@@ -18,6 +18,7 @@ from .greedy import (
     InsufficientRangeError,
     build_partition,
     cross_sequence,
+    sieve_row,
 )
 from .grid import GridCoord, GridWindow, MalformedStringError, binary_string, cell, main_suffix, row_of, window
 from .radix import (

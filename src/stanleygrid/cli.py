@@ -46,7 +46,7 @@ def cmd_sequence(args) -> int:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
     verify.check_cap("--limit", args.limit)
     if args.method == "greedy":
-        values = list(greedy.build_partition(args.limit).row(args.row))
+        values = list(greedy.sieve_row(args.limit, args.row))
     else:
         values = fractal.row_values_below(args.row, args.limit)
     if args.json:

@@ -255,16 +255,13 @@ def check_minus1(limit: int) -> CheckReport:
 def check_zero_column(rows: int) -> CheckReport:
     """Column 0 is strictly increasing in base-3 value and minimal in its row.
 
-    Minimality scans the row-content value sets for every string length up
-    to one more than the column entry's length (anything longer is larger
-    anyway).
+    Minimality: the values of row i up to the column entry's value v must
+    start with v itself.
     """
-    memo: _Memo = {}
     prev_val = -1
     checked = 0
     for i in range(rows):
-        s = cell(i, 0)
-        v = int(s, 3)
+        v = int(cell(i, 0), 3)
         checked += 1
         if v <= prev_val:
             return CheckReport(
@@ -273,17 +270,14 @@ def check_zero_column(rows: int) -> CheckReport:
                 checked=checked,
                 counterexample={"row": i, "value": v, "prev": prev_val, "reason": "not increasing"},
             )
-        candidates = [
-            u
-            for length in range(1, len(s) + 2)
-            for u in _row_values(i, length, memo)
-        ]
-        if candidates and min(candidates) != v:
+        below = row_values_below(i, v + 1)
+        if below[:1] != [v]:
             return CheckReport(
                 name="zero_column",
                 passed=False,
                 checked=checked,
-                counterexample={"row": i, "value": v, "row_min": min(candidates), "reason": "not minimal"},
+                counterexample={"row": i, "value": v, "row_min": below[0] if below else None,
+                                "reason": "not minimal"},
             )
         prev_val = v
     return CheckReport(name="zero_column", passed=True, checked=checked)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from stanleygrid import cli, radix
+from stanleygrid import cli, greedy, radix
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,19 @@ def test_sequence_empty_row(capsys):
     code, out, _ = run_cli(capsys, "sequence", "--row", "2", "--limit", "1",
                            "--method", "grid")
     assert code == 0 and out == ""
+
+
+@pytest.mark.parametrize("limit", [84, 3**7])
+def test_sequence_prints_the_row_of_the_full_sieve(capsys, limit):
+    part = greedy.build_partition(limit)
+    for row in (0, part.num_rows - 1, part.num_rows):
+        want = list(part.row(row))
+        code, out, _ = run_cli(capsys, "sequence", "--row", str(row), "--limit", str(limit))
+        assert code == 0 and out == "".join(f"{v}\n" for v in want)
+        code, out, _ = run_cli(capsys, "sequence", "--row", str(row), "--limit", str(limit),
+                               "--json")
+        assert code == 0 and out == json.dumps(want, separators=(",", ":")) + "\n"
+    assert want == [] and out == "[]\n"
 
 
 @pytest.mark.parametrize("method", ["greedy", "grid"])
@@ -233,6 +246,13 @@ def test_convert_10000_base_3_digits(capsys):
     out = run_within(capsys, 10, "convert", "--base", "3", "--from-digits", digits)
     assert len(out.strip()) == 4772
     assert read_numeral(out.strip(), 10) == read_numeral(digits, 3)
+
+
+def test_sequence_row_0_at_the_value_cap(capsys):
+    # the full sieve below 3^12 takes seconds; row 0 is filled before any other row
+    out = run_within(capsys, 1.5, "sequence", "--row", "0", "--limit", str(3**12))
+    assert len(out.splitlines()) == 2**12
+    assert out.startswith("0\n1\n3\n4\n9\n") and out.endswith("\n265720\n")
 
 
 def test_witness_has_no_direct_flag(capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stanleygrid import fractal
 from stanleygrid.fractal import (
     WindowShapeError,
     _row_values,
@@ -263,6 +264,16 @@ def test_check_zero_column():
     rep = check_zero_column(40)
     assert rep.passed and rep.counterexample is None
     assert rep.checked == 40
+
+
+def test_check_zero_column_fails_on_an_entry_past_its_row_minimum(monkeypatch):
+    # cell(5, 1) is in row 5 and larger than cell(4, 0), but row 5 starts at
+    # the base-3 value of the base-3/2 string of 10
+    monkeypatch.setattr(fractal, "cell", lambda i, j: cell(5, 1) if (i, j) == (5, 0) else cell(i, j))
+    rep = check_zero_column(40)
+    assert (rep.passed, rep.checked) == (False, 6)
+    assert rep.counterexample == {"row": 5, "value": int(cell(5, 1), 3),
+                                  "row_min": int(represent(10), 3), "reason": "not minimal"}
 
 
 def test_level_one_halfz_groups_three_prefixes():

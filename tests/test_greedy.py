@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stanleygrid import grid
+from stanleygrid import greedy, grid
 from stanleygrid.greedy import (
     InsufficientRangeError,
     build_partition,
     cross_sequence,
     first_term_bound,
+    sieve_row,
 )
 from stanleygrid.radix import BASE_3, represent
 
@@ -90,13 +91,26 @@ def test_insufficient_bound_error():
 
 
 def test_row_index_outside_range(part729):
-    with pytest.raises(InsufficientRangeError):
+    with pytest.raises(InsufficientRangeError) as exc:
         part729.row_index(3**6)
+    assert exc.value.required_bound == 3**6 + 1
+
+
+def test_row_index_of_a_negative_value_names_no_bound(part729):
+    # no sieve bound takes in -5, so the error must not suggest one
+    with pytest.raises(InsufficientRangeError) as exc:
+        part729.row_index(-5)
+    assert str(exc.value) == "-5 is outside the sieved range [0, 729)"
+    assert exc.value.required_bound is None
 
 
 def test_bad_limits():
     with pytest.raises(ValueError):
         build_partition(0)
+    with pytest.raises(ValueError, match="limit"):
+        sieve_row(0, 0)
+    with pytest.raises(ValueError, match="row"):
+        sieve_row(10, -1)
 
 
 def test_large_and_small_agree():
@@ -153,6 +167,37 @@ def test_row_by_row_sieve_matches_column_order(limit):
     part = build_partition(limit)
     assert part.rows == rows
     assert [part.row_index(n) for n in range(limit)] == assignment.tolist()
+
+
+@pytest.mark.parametrize("limit", [1, 2, 41, 84, 3**6, 3**7])
+def test_sieve_row_is_the_row_of_the_full_sieve(limit):
+    part = build_partition(limit)
+    rows, _ = _build_partition_by_column(limit)
+    for r in range(part.num_rows + 2):
+        got = sieve_row(limit, r)
+        assert got == part.row(r), (limit, r)
+        assert got == (rows[r] if r < len(rows) else ()), (limit, r)
+
+
+@pytest.mark.parametrize("row", [0, 1, 13, 26, 27, 40])
+def test_sieve_row_stops_at_its_row(monkeypatch, row):
+    # row r is fixed once rows 0..r are filled, so no later row is sieved
+    num_rows = build_partition(3**7).num_rows
+    assert num_rows == 27
+    starts = []
+    fill = greedy._fill_row
+
+    def spy(forbidden, n, terms):
+        starts.append(n)
+        return fill(forbidden, n, terms)
+
+    monkeypatch.setattr(greedy, "_fill_row", spy)
+    got = sieve_row(3**7, row)
+    assert len(starts) == min(row + 1, num_rows)
+    if row < num_rows:
+        assert got[0] == starts[-1] == int(represent(2 * row), 3)
+    else:
+        assert got == ()
 
 
 def test_every_limit_up_to_243_matches_column_order():
