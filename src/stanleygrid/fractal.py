@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _zoom, cell
+from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _is_ternary, _zoom, cell
 from .radix import canonicalize
 
 
@@ -118,7 +118,7 @@ def locate(w: str) -> GridCoord:
 
 def ternary_successor(w: str) -> tuple[str, int]:
     """((n+1)_3 from (n)_3, carry depth = number of trailing 2s)."""
-    if not w or any(ch not in "012" for ch in w):
+    if not _is_ternary(w):
         raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
     stripped = w.rstrip("2")
     depth = len(w) - len(stripped)

@@ -40,8 +40,13 @@ def binary_string(j: int) -> str:
     return format(j, "b")
 
 
+def _is_ternary(w: str) -> bool:
+    """w is a non-empty {0,1,2}-string (strip stops at the first other character)."""
+    return bool(w) and not w.strip("012")
+
+
 def _check_ternary(w: str) -> None:
-    if not w or any(ch not in "012" for ch in w):
+    if not _is_ternary(w):
         raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
     if not is_canonical(w):
         raise MalformedStringError(f"{w!r} has a leading zero")

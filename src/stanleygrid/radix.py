@@ -20,8 +20,8 @@ _DIGITS = "0123456789"
 # decrement mod 3, used by the base-3/2 carry rule
 _DEC3 = str.maketrans("012", "201")
 
-# decimal digits per int() or str() call: Python refuses conversions past 4300 digits
-_DECIMAL_CHUNK = 4000
+# digits per int() or str() call: Python refuses conversions past 4300 digits
+_DIGIT_CHUNK = 4000
 
 
 class InvalidDigitError(ValueError):
@@ -141,30 +141,31 @@ def from_decimal(text: str) -> int:
     A numeral longer than 4000 characters (an optional sign, then ASCII
     digits) is read in halves until each piece fits one int() call.
     """
-    if len(text) <= _DECIMAL_CHUNK:
+    if len(text) <= _DIGIT_CHUNK:
         return int(text)
     body = text.strip()
     sign = body[:1] if body[:1] in ("+", "-") else ""
     digits = body[len(sign):]
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid decimal numeral of {len(text)} characters")
-    value = _read_decimal(digits)
+    value = _read_int(digits, 10)
     return -value if sign == "-" else value
 
 
-def _read_decimal(digits: str) -> int:
-    if len(digits) <= _DECIMAL_CHUNK:
-        return int(digits)
+def _read_int(digits: str, base: int) -> int:
+    """int(digits, base) at any length, split in halves until each piece fits one int() call."""
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits, base)
     half = len(digits) // 2
     low = digits[half:]
-    return _read_decimal(digits[:half]) * 10 ** len(low) + _read_decimal(low)
+    return _read_int(digits[:half], base) * base ** len(low) + _read_int(low, base)
 
 
 def to_decimal(n: int) -> str:
     """str(n) for an int of any size, split in halves until each piece fits one str() call."""
     if n < 0:
         return "-" + to_decimal(-n)
-    if n.bit_length() <= 3 * _DECIMAL_CHUNK:          # below 2^12000 < 10^4000
+    if n.bit_length() <= 3 * _DIGIT_CHUNK:            # below 2^12000 < 10^4000
         return str(n)
     k = n.bit_length() * 30103 // 200000               # about half the digits: log10(2) ~ 0.30103
     high, low = divmod(n, 10**k)

@@ -10,8 +10,8 @@ The construction is one loop over one step table, _STEPS.  Each step
 strips the last digit of x, which maps a row-(3a+r) target onto row 2a or
 2a+1, and appends one digit to each of c and d.  A trailing 1 under a
 row-(3a+1) target leaves the standard equation for a shifted one, which
-may restart from the numeral one below the stripped prefix.  Target rows
-0 and 1 are solved directly by digit rewrites.
+may restart from the numeral one below the stripped prefix.  The loop
+stops once the prefix sits in the target row, with c = d = the prefix.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .fractal import locate
 from .greedy import GreedyPartition, InsufficientRangeError
-from .grid import GridCoord, _coord_of, _zoom
-from .radix import BASE_3, canonicalize, represent, to_decimal
+from .grid import GridCoord, _coord_of, _is_ternary, _zoom
+from .radix import BASE_3, _read_int, canonicalize, represent, to_decimal
 
 
 class NotApplicableError(ValueError):
@@ -38,8 +38,6 @@ class ConstructionError(RuntimeError):
 
 
 # trace vocabulary, one tag per construction step
-TAG_ROW0 = "row0"
-TAG_ROW1 = ["row1-case0", "row1-case1", "row1-case2", "row1-case3"]
 TAG_DEGENERATE = "degenerate"
 TAG_APPEND_EVEN = "append-0mod3"
 TAG_APPEND_ODD = "append-2mod3"
@@ -48,8 +46,8 @@ TAG_KEEP2 = "keep-2"
 TAG_SIMPLEST = "simplest"
 TAG_ITERATIVE = "iterative"
 TAG_PECULIAR = "peculiar"
-TAGS = frozenset({TAG_ROW0, *TAG_ROW1, TAG_DEGENERATE, TAG_APPEND_EVEN, TAG_APPEND_ODD,
-                  TAG_KEEP0, TAG_KEEP2, TAG_SIMPLEST, TAG_ITERATIVE, TAG_PECULIAR})
+TAGS = frozenset({TAG_DEGENERATE, TAG_APPEND_EVEN, TAG_APPEND_ODD, TAG_KEEP0, TAG_KEEP2,
+                  TAG_SIMPLEST, TAG_ITERATIVE, TAG_PECULIAR})
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class WitnessPair:
 
     @property
     def values(self) -> tuple[int, int, int]:
-        return _value3(self.c), _value3(self.d), _value3(self.x)
+        return _read_int(self.c, 3), _read_int(self.d, 3), _read_int(self.x, 3)
 
     def as_dict(self, trace: list[str] | None = None) -> dict:
         rec = {
@@ -97,12 +95,7 @@ def decompose(x: str) -> tuple[str, str, str]:
     suffix of the remainder shaped 2, 2 0^j 1^k, 2 1^k, or 1 0^j 1^k
     (j, k >= 1); x1 is whatever precedes it.
     """
-    x1, x2, x3, _ = _decompose_cases(x)
-    return x1, x2, x3
-
-
-def _decompose_cases(x: str) -> tuple[str, str, str, int]:
-    if not x or any(ch not in "012" for ch in x):
+    if not _is_ternary(x):
         raise NotApplicableError(f"{x!r} is not a {{0,1,2}}-string")
     t0 = len(x) - len(x.rstrip("0"))
     x3 = "0" * t0
@@ -110,7 +103,7 @@ def _decompose_cases(x: str) -> tuple[str, str, str, int]:
     if not y:
         raise NotApplicableError(f"{x!r} has no nonzero digit")
     if y[-1] == "2":
-        return y[:-1], "2", x3, 0
+        return y[:-1], "2", x3
     if y[-1] != "1":
         raise NotApplicableError(f"{x!r}: middle segment must end in 1 or 2")
     k = len(y) - len(y.rstrip("1"))
@@ -119,12 +112,8 @@ def _decompose_cases(x: str) -> tuple[str, str, str, int]:
     head = rest[: len(rest) - j] if j else rest
     if not head:
         raise NotApplicableError(f"{x!r} has no digit 2 and no anchor for a middle segment")
-    if head[-1] == "2":
-        if j > 0:
-            return head[:-1], "2" + "0" * j + "1" * k, x3, 1
-        return head[:-1], "2" + "1" * k, x3, 2
-    # head ends in 1; the run logic guarantees j > 0 here
-    return head[:-1], "1" + "0" * j + "1" * k, x3, 3
+    # head ends in 2, or in 1 with j > 0 (the run logic guarantees it)
+    return head[:-1], head[-1] + "0" * j + "1" * k, x3
 
 
 def witness(x: str, j: int) -> tuple[WitnessPair, list[str]]:
@@ -146,7 +135,7 @@ def witness_oracle(x: str, j: int, partition: GreedyPartition) -> WitnessPair | 
     row holds no witnesses below the partition bound.
     """
     _require_above(x, j)
-    v = _value3(x)
+    v = _read_int(x, 3)
     if v >= partition.bound:
         raise InsufficientRangeError(
             f"[x]_3 = {v} is outside the sieved range [0, {partition.bound})",
@@ -170,44 +159,6 @@ def _require_above(x: str, j: int) -> GridCoord:
     if at.row <= j:
         raise NotApplicableError(f"{x!r} lies in row {at.row}, not below target row {j}")
     return at
-
-
-def _value3(s: str) -> int:
-    """[s]_3, read 4000 digits per int(): int() refuses strings of more than 4300."""
-    v = 0
-    for i in range(0, len(s), 4000):
-        chunk = s[i:i + 4000]
-        v = v * 3 ** len(chunk) + int(chunk, 3)
-    return v
-
-
-def _row0_pair(x: str) -> tuple[str, str]:
-    """Row-0 witnesses: turn the 2s of x into all-0s and all-1s."""
-    return canonicalize(x.replace("2", "0")), x.replace("2", "1")
-
-
-def _row1_pair(x: str) -> tuple[str, str, int]:
-    """Row-1 witnesses via the three-segment decomposition of x, plus its case."""
-    x1, x2, x3, case = _decompose_cases(x)
-    if case == 0:
-        a2 = b2 = "2"
-    elif case == 1:
-        j = len(x2.rstrip("1")) - 1
-        k = len(x2) - 1 - j
-        a2 = "1" + "0" * j + "1" * (k - 1) + "2"
-        b2 = "1" * j + "2" + "0" * k
-    elif case == 2:
-        k = len(x2) - 1
-        a2 = "1" * k + "2"
-        b2 = "2" + "0" * k
-    else:
-        j = len(x2.rstrip("1")) - 1
-        k = len(x2) - 1 - j
-        a2 = "0" * (j + 1) + "1" * (k - 1) + "2"
-        b2 = "0" + "1" * (j - 1) + "2" + "0" * k
-    c = canonicalize(x1.replace("2", "0") + a2 + x3)
-    d = canonicalize(x1.replace("2", "1") + b2 + x3)
-    return c, d, case
 
 
 # One step per (shape, t mod 3, last digit of x): (trace tag or None, next
@@ -248,7 +199,7 @@ def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, st
     p, q = at
     shape, t = _STANDARD, j
     c_tail, d_tail = [], []
-    while shape == _SHIFTED or (p > t and t >= 2):
+    while shape == _SHIFTED or p > t:
         a, r = divmod(t, 3)
         tag, shape, bit, c_digit, d_digit = _STEPS[shape, r, digits.pop()]
         p, q = _zoom(p, q)[:2]
@@ -268,18 +219,10 @@ def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, st
         d_tail.append(d_digit)
         t = 2 * a + bit
     y = canonicalize("".join(digits))
-    if p == t:
-        trace.append(TAG_DEGENERATE)
-        c = d = y
-    elif p < t:
+    if p < t:
         raise ConstructionError(f"row({y}) = {p} < target {t}", trace)
-    elif t == 0:
-        trace.append(TAG_ROW0)
-        c, d = _row0_pair(y)
-    else:
-        c, d, case = _row1_pair(y)
-        trace.append(TAG_ROW1[case])
-    return canonicalize(c + "".join(c_tail[::-1])), canonicalize(d + "".join(d_tail[::-1]))
+    trace.append(TAG_DEGENERATE)
+    return canonicalize(y + "".join(c_tail[::-1])), canonicalize(y + "".join(d_tail[::-1]))
 
 
 def _validate(pair: WitnessPair, trace: list[str]) -> None:

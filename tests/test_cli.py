@@ -172,7 +172,7 @@ def test_witness_json(capsys):
     doc = json.loads(out)
     assert doc["c"] == "12" and doc["d"] == "112"
     assert doc["values_base3"] == [5, 14, 23]
-    assert doc["trace"] == ["row1-case0"]
+    assert doc["trace"] == ["keep-2", "append-0mod3", "append-0mod3", "degenerate"]
 
 
 def test_witness_row0(capsys):
@@ -181,7 +181,7 @@ def test_witness_row0(capsys):
     doc = json.loads(out)
     assert doc["c"] == "10" and doc["d"] == "111"
     assert out == ('{"x":"212","j":0,"c":"10","d":"111","values_base3":[3,13,23],'
-                   '"trace":["row0"]}\n')
+                   '"trace":["append-0mod3","append-0mod3","append-0mod3","degenerate"]}\n')
 
 
 def test_witness_row1_example_line(capsys):
@@ -191,7 +191,8 @@ def test_witness_row1_example_line(capsys):
     assert out == ('{"x":"11102010220102110110011000","j":1,'
                    '"c":"11100010000100110100012000","d":"11101010110101110101200000",'
                    '"values_base3":[1225028612079,1235661684687,1246294757295],'
-                   '"trace":["row1-case3"]}\n')
+                   '"trace":["keep-0","keep-0","keep-0","iterative","peculiar",'
+                   + '"append-0mod3",' * 16 + '"degenerate"]}\n')
 
 
 def test_witness_of_a_5000_digit_numeral(capsys):
@@ -200,7 +201,7 @@ def test_witness_of_a_5000_digit_numeral(capsys):
     code, out, _ = run_cli(capsys, "witness", x, "--target-row", "0")
     assert code == 0
     doc = json.loads(out)
-    assert doc["x"] == x and doc["trace"] == ["row0"]
+    assert doc["x"] == x and doc["trace"] == ["append-0mod3"] * 5000 + ["degenerate"]
     c3, d3, x3 = doc["values_base3"]
     assert c3 < d3 < x3 and d3 - c3 == x3 - d3
 
@@ -226,8 +227,9 @@ def test_witness_of_a_9200_digit_numeral(capsys):
     # its values have about 4400 decimal digits, past what str() writes in one call
     x = "21" * 4600
     out = run_within(capsys, 10, "witness", x, "--target-row", "0")
+    trace = re.escape('"append-0mod3",' * 9200 + '"degenerate"')
     doc = re.fullmatch(r'\{"x":"(\d+)","j":0,"c":"(\d+)","d":"(\d+)",'
-                       r'"values_base3":\[(\d+),(\d+),(\d+)\],"trace":\["row0"\]\}\n', out)
+                       r'"values_base3":\[(\d+),(\d+),(\d+)\],"trace":\[' + trace + r'\]\}\n', out)
     assert doc and doc[1] == x
     c3, d3, x3 = (read_numeral(doc[i], 10) for i in (4, 5, 6))
     assert (c3, d3, x3) == tuple(read_numeral(doc[i], 3) for i in (2, 3, 1))

@@ -21,19 +21,20 @@ from stanleygrid.witness import (
     TAG_KEEP0,
     TAG_KEEP2,
     TAG_PECULIAR,
-    TAG_ROW0,
-    TAG_ROW1,
     TAG_SIMPLEST,
+    TAGS,
     ConstructionError,
     NotApplicableError,
-    _row0_pair,
-    _row1_pair,
     decompose,
     witness,
     witness_oracle,
 )
 
 X26 = "11102010220102110110011000"
+
+# 20-160-digit canonical strings for the property tests
+LONG_STRINGS = st.builds(lambda lead, rest: lead + rest, st.sampled_from("12"),
+                         st.text(alphabet="012", min_size=19, max_size=159))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_row1_middle_segment_difference():
 def test_simple_witnesses():
     pair, trace = witness("212", 1)
     assert (pair.c, pair.d) == ("12", "112")
-    assert trace == ["row1-case0"]
+    assert trace == ["keep-2", "append-0mod3", "append-0mod3", "degenerate"]
 
     pair, trace = witness("212", 3)
     assert (pair.c, pair.d) == ("210", "211")
@@ -107,7 +108,7 @@ def test_simple_witnesses():
 
     pair, trace = witness("212", 0)
     assert (pair.c, pair.d) == ("10", "111")
-    assert trace == ["row0"]
+    assert trace == ["append-0mod3", "append-0mod3", "append-0mod3", "degenerate"]
 
 
 def test_witness_rejects_impossible():
@@ -173,7 +174,7 @@ def test_json_record():
     assert list(doc) == ["x", "j", "c", "d", "values_base3", "trace"]
     assert doc["x"] == "212" and doc["j"] == 1
     assert doc["values_base3"] == [5, 14, 23]
-    assert doc["trace"] == ["row1-case0"]
+    assert doc["trace"] == ["keep-2", "append-0mod3", "append-0mod3", "degenerate"]
 
 
 def test_trace_tags_cover_the_three_shift_branches(part243):
@@ -185,7 +186,12 @@ def test_trace_tags_cover_the_three_shift_branches(part243):
         for j in range(part243.row_index(n)):
             _, trace = witness(w, j)
             seen.update(trace)
-    assert {"simplest", "iterative", "peculiar", "row0", "degenerate"} <= seen
+    assert {"simplest", "iterative", "peculiar", "degenerate"} <= seen
+
+
+def test_tags_are_the_step_tags_and_degenerate():
+    emitted = {step[0] for step in witness_module._STEPS.values()} - {None}
+    assert TAGS == emitted | {TAG_DEGENERATE}
 
 
 def test_witness_of_a_1000_digit_string():
@@ -211,13 +217,6 @@ def _standard(x: str, t: int, trace: list[str]) -> tuple[str, str]:
         return x, x
     if rx < t:
         raise ConstructionError(f"row({x}) = {rx} < target {t}", trace)
-    if t == 0:
-        trace.append(TAG_ROW0)
-        return _row0_pair(x)
-    if t == 1:
-        c, d, case = _row1_pair(x)
-        trace.append(TAG_ROW1[case])
-        return c, d
     a, r = divmod(t, 3)
     last = x[-1]
     stem = canonicalize(x[:-1])
@@ -311,11 +310,7 @@ def test_loop_matches_recursion_on_every_exclusion_below_3_to_6():
 
 
 @settings(max_examples=100)
-@given(
-    st.builds(lambda lead, rest: lead + rest, st.sampled_from("12"),
-              st.text(alphabet="012", min_size=19, max_size=159)),
-    st.data(),
-)
+@given(LONG_STRINGS, st.data())
 def test_loop_matches_recursion_on_long_strings(x, data):
     row = locate(x).row
     assume(row > 0)  # a {0,1}-string sits in row 0 and has no exclusion to explain
@@ -325,6 +320,56 @@ def test_loop_matches_recursion_on_long_strings(x, data):
     c3, d3, x3 = int(c, 3), int(d, 3), int(x, 3)
     assert c3 < d3 < x3 and d3 - c3 == x3 - d3
     assert row_of(c) == row_of(d) == j
+
+
+# ---------------------------------------------------------------------------
+# reference: direct digit rewrites for target rows 0 and 1; the loop reaches
+# these rows through the step table alone and must give the same pairs
+
+
+def _row0_pair(x: str) -> tuple[str, str]:
+    """Row-0 witnesses: turn the 2s of x into all-0s and all-1s."""
+    return canonicalize(x.replace("2", "0")), x.replace("2", "1")
+
+
+def _row1_pair(x: str) -> tuple[str, str]:
+    """Row-1 witnesses: rewrite x1 as for row 0 and the middle segment x2 by its shape."""
+    x1, x2, x3 = decompose(x)
+    j = len(x2.rstrip("1")) - 1      # the 0s after x2's first digit
+    k = len(x2) - 1 - j              # the trailing 1s
+    if x2 == "2":
+        a2 = b2 = "2"
+    elif x2[0] == "2":               # 2 0^j 1^k, j >= 0
+        a2 = "1" + "0" * j + "1" * (k - 1) + "2"
+        b2 = "1" * j + "2" + "0" * k
+    else:                            # 1 0^j 1^k
+        a2 = "0" * (j + 1) + "1" * (k - 1) + "2"
+        b2 = "0" + "1" * (j - 1) + "2" + "0" * k
+    return (canonicalize(x1.replace("2", "0") + a2 + x3),
+            canonicalize(x1.replace("2", "1") + b2 + x3))
+
+
+def _direct_rewrites_agree(x: str) -> int:
+    """Compare the loop with the direct rewrites on each target row 0, 1 below x's row."""
+    targets = ((0, _row0_pair), (1, _row1_pair))[: locate(x).row]
+    for t, direct in targets:
+        pair, _ = witness(x, t)
+        assert (pair.c, pair.d) == direct(x), (x, t)
+    return len(targets)
+
+
+def test_loop_matches_direct_rewrites_up_to_8_digits():
+    checked = sum(_direct_rewrites_agree(lead + "".join(rest))
+                  for length in range(1, 9) for lead in "12"
+                  for rest in itertools.product("012", repeat=length - 1))
+    assert checked == 12355
+
+
+@settings(max_examples=100)
+@given(LONG_STRINGS)
+def test_loop_matches_direct_rewrites_on_long_strings(x):
+    assume(locate(x).row > 0)  # a {0,1}-string sits in row 0 and has no exclusion to explain
+    _direct_rewrites_agree(x)
 
 
 def test_witness_locates_only_x_c_and_d(monkeypatch):
