@@ -131,34 +131,20 @@ def ternary_successor(w: str) -> tuple[str, int]:
 def traversal(count: int) -> list[tuple[str, GridCoord]]:
     """First `count` cells of the halfZ nesting walk, as (string, coordinate).
 
-    The walk is purely geometric: expand the level-m origin halfZ (m just
-    large enough that 3^(m+1) >= count) member by member, recursing into
-    each child's triple.  The strings read off the visited cells are the
-    ternary numerals in counting order.
+    The walk is purely geometric and goes level by level: starting from
+    the origin (whose halfZ chain is a fixed point), each level replaces
+    every cell by the three members of the halfZ whose prefix sits there,
+    until a level holds at least `count` cells.  For count >= 1 that is
+    fewer than 3 * count cells, and exactly `count` when it is a power of
+    3.  The strings read off the visited cells are the ternary numerals in
+    counting order.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return []
-    m = 0
-    while 3 ** (m + 1) < count:
-        m += 1
-    out: list[tuple[str, GridCoord]] = []
-    _walk(m, GridCoord(0, 0), count, out)
-    return out
-
-
-def _walk(level: int, coord: GridCoord, count: int, out: list[tuple[str, GridCoord]]) -> None:
-    """Append the cells of the level-`level` halfZ at `coord` to `out`, up to `count` in all."""
-    if len(out) >= count:
-        return
-    for d in range(3):
-        child = descend(coord, d)
-        if level == 0:
-            if len(out) < count:
-                out.append((cell(*child), child))
-        else:
-            _walk(level - 1, child, count, out)
+    cells = [GridCoord(0, 0)]
+    while len(cells) < count:
+        cells = [descend(c, d) for c in cells for d in range(3)]
+    return [(cell(*c), c) for c in cells[:count]]
 
 
 # ---------------------------------------------------------------------------

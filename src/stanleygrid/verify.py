@@ -12,11 +12,13 @@ The radix and greedy checks with millions of cases keep one call per case
 to the code under test (`add_two`, `represent`) and take the sieve's rows
 as they are, but compute the independent side with numpy: the value of a
 digit string as one int64 matrix product over its padded digits, and every
-third term 2b - a of a row's pairs as one array.  Cases go through numpy
-one bounded block at a time (4096 strings, or about 4096 pairs of one
-row), so memory stays flat however far the sweep reaches.  A failing
-block reports the first counterexample in the order of the per-case scan,
-and the same count of cases up to it.
+third term 2b - a of a row's pairs as one array.  Strings go through
+numpy one bounded block of 4096 at a time, so memory stays flat however
+far the sweep reaches; a failing block reports the first counterexample in
+the order of the per-case scan, and the same count of cases up to it.  The
+greedy row checks take a whole row's pairs at once, in that order too,
+as one square matrix per row: verify sieves below 3^9, where a row has at
+most 512 terms, 130,816 pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ DEFAULT_MAX_VALUE = 3**12          # 531441
 DEFAULT_MAX_ROWS = 500
 DEFAULT_ROWS = 200                 # rows verify checks when --max-rows is not given
 CAP_ENV_VAR = "STANLEY_GRID_CAP"
-_BLOCK = 4096                      # cases per numpy block: strings, or one row's pairs
+_BLOCK = 4096                      # strings per numpy block
 
 
 class CapExceededError(RuntimeError):
@@ -207,9 +209,9 @@ def _digit_values(strings: list[str], p: int, q: int, width: int) -> tuple[np.nd
     return digits.astype(np.int64) @ np.array(weights, dtype=np.int64), ok
 
 
-def _blocks_of(items: Iterable, size: int = _BLOCK) -> Iterator[list]:
+def _blocks_of(items: Iterable) -> Iterator[list]:
     it = iter(items)
-    while block := list(itertools.islice(it, size)):
+    while block := list(itertools.islice(it, _BLOCK)):
         yield block
 
 
@@ -279,9 +281,12 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     For row j, every pair a < b of its terms gives c = 2b - a.  The row is
     3-free if no c lies in row j, and every n that the sieve put in a later
     row must equal some c: n skipped row j only because a, b, n is an AP.
-    A row's pairs go through numpy a block of about 4096 at a time, in the
-    order of itertools.combinations, the per-case order of the first check;
-    the second check's per-case order is (n, j).
+    A row's pairs go through numpy all at once: 2b - a for every a (down)
+    and b (across) of the row, masked to the upper triangle, reads them
+    row-major, in the order of itertools.combinations, the per-case order of
+    the first check; the second check's per-case order is (n, j).  verify
+    sieves below 3^9, where the largest row, row 0, has 512 terms: a 512 x
+    512 matrix of 130,816 pairs.  Values stay below 2 * limit, so int32.
     """
     limit = part.bound
     owner = np.full(2 * limit, -1, dtype=np.int32)    # row of each value; every c < 2 * limit
@@ -292,24 +297,15 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     ap_fault = ""
     skip = None                                        # first unforced (n, j) in (n, j) order
     for j, terms in enumerate(part.rows):
-        t = np.array(terms, dtype=np.int64)
+        t = np.array(terms, dtype=np.int32)
+        upper = np.triu(np.ones((len(t), len(t)), dtype=bool), 1)
+        c = (2 * t - t[:, None])[upper]
+        if not ap_fault:
+            count, ap_fault = _block(owner[c] != j,
+                                     lambda k: "AP {}, {}, {}".format(*t[np.argwhere(upper)[k]], c[k]))
+            pairs += count
         hit = np.zeros(limit, dtype=bool)
-        step = max(1, _BLOCK // len(t))
-        for i in range(0, len(t), step):
-            # a = t[i:i + step] down, b = t[i + 1:] across; a real pair needs b's index above a's
-            a = t[i:i + step, None]
-            is_pair = np.arange(i + 1, len(t)) > np.arange(i, i + len(a))[:, None]
-            c = (2 * t[i + 1:] - a)[is_pair]
-            if not ap_fault:
-                bad = np.flatnonzero(owner[c] == j)
-                if bad.size:
-                    k = int(bad[0])
-                    a_k = int(np.broadcast_to(a, is_pair.shape)[is_pair][k])
-                    pairs += k + 1
-                    ap_fault = f"AP {a_k}, {(a_k + c[k]) // 2}, {c[k]}"
-                else:
-                    pairs += len(c)
-            hit[c[c < limit]] = True
+        hit[c[c < limit]] = True
         unforced = np.flatnonzero((later > j) & ~hit)
         if unforced.size and (skip is None or unforced[0] < skip[0]):
             skip = int(unforced[0]), j
@@ -324,33 +320,41 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     return out
 
 
+def _row_vs(name: str, row: int, got: Iterable[int], ref: str, want: list[int],
+            checked: int) -> CheckResult:
+    """Row `row` of the sieve lists `want`; a failure names the first term where
+    it parts from `ref`."""
+    terms = enumerate(itertools.zip_longest(got, want, fillvalue="none"))
+    fault = next((f"row {row} term {i} is {g}, {ref} has {w}" for i, (g, w) in terms if g != w), "")
+    return _result(name, not fault, checked, fault)
+
+
 def suite_greedy(max_value: int) -> list[CheckResult]:
     out = []
     limit = min(3**9, max_value)
     part = greedy.build_partition(limit)
 
-    sizes_ok = sum(len(r) for r in part.rows) == limit
-    assign_ok = all(n in part.rows[part.row_index(n)] for n in range(0, limit, 211))
-    out.append(_result("rows-partition-the-range", sizes_ok and assign_ok, limit))
+    total = sum(len(r) for r in part.rows)
+    stray = [n for n in range(0, limit, 211) if n not in part.rows[part.row_index(n)]]
+    fault = (f"rows hold {total} values, not {limit}" if total != limit
+             else f"{stray[0]} is missing from its row" if stray else "")
+    out.append(_result("rows-partition-the-range", not fault, limit, fault))
 
     out += _row_checks(part)
 
     # bundled terms below the sieve bound; the rows hold every such term
     ref0 = [v for v in refdata.bundled("A005836").values if v < limit]
     ref1 = [v for v in refdata.bundled("A323398").values if v < limit]
-    out.append(_result("row0-prefix-vs-A005836", list(part.row(0)[: len(ref0)]) == ref0, len(ref0)))
-    out.append(_result("row1-prefix-vs-A323398", list(part.row(1)[: len(ref1)]) == ref1, len(ref1)))
-
-    no2 = [n for n in range(limit) if "2" not in radix.represent(n, radix.BASE_3)]
-    out.append(_result("row0-is-the-no-2-set", list(part.row(0)) == no2, limit))
-    single2 = [
-        n
-        for n in range(limit)
-        if (lambda s: s.count("2") == 1 and set(s[s.index("2") + 1 :]) <= {"0"})(
-            radix.represent(n, radix.BASE_3)
-        )
-    ]
-    out.append(_result("row1-is-the-single-2-set", list(part.row(1)) == single2, limit))
+    ternary = [radix.represent(n, radix.BASE_3) for n in range(limit)]
+    no2 = [n for n, s in enumerate(ternary) if "2" not in s]
+    single2 = [n for n, s in enumerate(ternary) if s.count("2") == 1 and s.rstrip("0").endswith("2")]
+    out.append(_row_vs("row0-prefix-vs-A005836", 0, part.row(0)[: len(ref0)], "A005836", ref0,
+                      len(ref0)))
+    out.append(_row_vs("row1-prefix-vs-A323398", 1, part.row(1)[: len(ref1)], "A323398", ref1,
+                      len(ref1)))
+    out.append(_row_vs("row0-is-the-no-2-set", 0, part.row(0), "the no-2 set", no2, limit))
+    out.append(_row_vs("row1-is-the-single-2-set", 1, part.row(1), "the single-2 set", single2,
+                      limit))
 
     refx = [v for v in refdata.bundled("A265316").values if v < limit]
     got = greedy.cross_sequence(part, len(refx))

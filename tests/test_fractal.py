@@ -185,6 +185,37 @@ def test_traversal_first_nine_coordinates():
     assert [s for s, _ in walk] == [represent(n, BASE_3) for n in range(9)]
 
 
+def walk_reference(count):
+    """The recursive depth-first walk that traversal replaced: expand the level-m
+    origin halfZ (m just large enough that 3^(m+1) >= count) member by member,
+    recursing into each child's triple."""
+    if count == 0:
+        return []
+    m = 0
+    while 3 ** (m + 1) < count:
+        m += 1
+    out = []
+
+    def walk(level, coord):
+        if len(out) >= count:
+            return
+        for d in range(3):
+            child = descend(coord, d)
+            if level == 0:
+                if len(out) < count:
+                    out.append((cell(*child), child))
+            else:
+                walk(level - 1, child)
+    walk(m, GridCoord(0, 0))
+    return out
+
+
+@pytest.mark.parametrize("counts", [range(301), [3**9, 3**9 + 1]], ids=["0-300", "3^9"])
+def test_traversal_matches_the_recursive_walk(counts):
+    for n in counts:
+        assert traversal(n) == walk_reference(n), n
+
+
 def test_traversal_counts_in_ternary():
     walk = traversal(81)
     for n, (s, coord) in enumerate(walk):

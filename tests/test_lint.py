@@ -1,0 +1,72 @@
+"""Two lint rules on the package source, with the standard library's ast alone.
+
+- Every import binding is read by its module (`__init__.py`, which imports to
+  re-export, and `from __future__ import annotations` are exempt).
+- Every module-level private function, class or constant is referenced by some
+  module of the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "stanleygrid").glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def loads(node):
+    """The bare names read anywhere under `node`."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def references(node):
+    """The names `node` refers to: bare names read, attribute names and names imported."""
+    return (loads(node)
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names})
+
+
+def import_bindings(tree):
+    """(line, bound name) of each import in the module, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants (no dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def test_the_package_has_modules():
+    assert "verify.py" in TREES and "__init__.py" in TREES
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "__init__.py"])
+def test_every_import_is_read(name):
+    read = loads(TREES[name])
+    unused = [(line, bound) for line, bound in import_bindings(TREES[name]) if bound not in read]
+    assert not unused, f"{name}: imported but never read: {unused}"
+
+
+def test_every_private_definition_is_referenced():
+    # what each top-level statement refers to; a function calling itself is no reference
+    refs = [(stmt, references(stmt)) for tree in TREES.values() for stmt in tree.body]
+    unused = [(name, node.lineno, private) for name, tree in TREES.items()
+              for node, private in private_definitions(tree)
+              if not any(private in names for stmt, names in refs if stmt is not node)]
+    assert not unused, f"private definitions nothing references: {unused}"

@@ -93,6 +93,22 @@ def sieve_moving(n, row):
     return lambda real: lambda limit: moved(real(limit), n, row)
 
 
+def dropping(n):
+    """A mutant maker for build_partition: n is left out of its row."""
+    def drop(part):
+        rows = [tuple(v for v in r if v != n) for r in part.rows]
+        return greedy.GreedyPartition(part.bound, tuple(rows), part._assignment)
+    return lambda real: lambda limit: drop(real(limit))
+
+
+def swapping(i, k):
+    """A mutant maker for a list-valued function: entries i and k trade places."""
+    def swap(out):
+        out[i], out[k] = out[k], out[i]
+        return out
+    return lambda real: lambda *a: swap(real(*a))
+
+
 # (suite, module, function, its mutant maker, the check that must catch it,
 #  the number of cases that check runs up to and including the wrong one)
 MUTANTS = [
@@ -107,6 +123,15 @@ MUTANTS = [
      128 * 127 // 2 + 127 * 126 // 2 + 2),
     # 16 belongs to row 2; the values below it skip 10 rows in all
     ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1),
+    # the rows hold 2186 values below 2187
+    ("greedy", greedy, "build_partition", dropping(2186), "rows-partition-the-range", 2187),
+    # 13 is 111 in base 3, the 8th term of row 0; 16 terms of each reference lie below 2187
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-prefix-vs-A005836", 16),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-prefix-vs-A323398", 16),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-is-the-no-2-set", 2187),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-is-the-single-2-set", 2187),
+    # 7 opens row 2, which the cross sequence reads; 10 terms of A265316 lie below 2187
+    ("greedy", greedy, "build_partition", sieve_moving(7, 3), "cross-prefix-vs-A265316", 10),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
     ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193),
     # row 0 starts "0", "1", "10": worth 0, 1, 2, its first pair ends an AP
@@ -138,6 +163,15 @@ def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, 
     assert check in failed
     assert all(r.detail for r in failed.values()), failed
     assert failed[check].checked == checked
+
+
+def test_a_swapped_traversal_names_the_first_entry_out_of_order(monkeypatch):
+    # "1202" and "1210" are entries 47 and 48 of the walk
+    monkeypatch.setattr(fractal, "traversal", swapping(47, 48)(fractal.traversal))
+    failed = [r for r in verify.run_suite("fractal", max_value=2187, max_rows=20).results
+              if not r.passed]
+    assert [outcome(r) for r in failed] == [(False, 48, "entry 47: visited 1210, counting says 1202")]
+    assert failed[0].name == "traversal-counts-in-ternary"
 
 
 # (standard, 2, "0") is the 7th step and may also be the peculiar step below, the
@@ -251,3 +285,19 @@ def test_row_checks_match_the_per_case_scans_on_a_moved_value(n, row):
     part = greedy.build_partition(2187)
     assert part.row_index(n) != row
     assert_row_checks_match(moved(part, n, row))
+
+
+# At 3^9 row 0 has 512 terms, 130,816 pairs, and the rows 3,874,455 pairs in all.
+# 19682 (222222222 in base 3) moved into row 0 ends an AP with 0 and 9841, row 0's
+# largest term, in its 511th pair; 19681 moved into row 1 is found past row 0's pairs.
+@pytest.mark.parametrize("n,row,ap,skips", [
+    (None, None, (True, 3874455, ""), (True, 429795, "")),
+    (19682, 0, (False, 511, "AP 0, 9841, 19682"), None),
+    (19681, 1, (False, 131829, "AP 5, 9843, 19681"),
+     (False, 429736, "n=19682 skipped row 60 without a witness")),
+], ids=["sieve", "19682-to-row-0", "19681-to-row-1"])
+def test_row_checks_are_pinned_at_3_to_the_9(n, row, ap, skips):
+    part = greedy.build_partition(3**9)
+    got_ap, got_skips = verify._row_checks(part if n is None else moved(part, n, row))
+    assert outcome(got_ap) == ap
+    assert skips is None or outcome(got_skips) == skips
