@@ -12,8 +12,9 @@ owned by grid (_coord_of steps down, _zoom steps up); descend and
 zoom_coord here are one-line uses of it.
 
 Reading the grid along that nesting enumerates the canonical ternary
-strings in counting order, one digit of (n)_3 per nesting level, which is
-what locate() exploits to find a string's coordinate in linear time.
+strings in counting order, one digit of (n)_3 per nesting level.  locate()
+follows that nesting down to a string's coordinate in linear time; grid
+collapses K levels into one step of a 3^K x 2^K block.
 """
 
 from __future__ import annotations
@@ -106,11 +107,13 @@ def zoom_out(window_cells: list[list[str]] | tuple[tuple[str, ...], ...]) -> lis
 
 
 def locate(w: str) -> GridCoord:
-    """Coordinate of the canonical string w, one halfZ descent step per digit.
+    """Coordinate of the canonical string w, by halfZ descent from the origin.
 
     Starting from the origin (whose halfZ chain is a fixed point), digit
-    d picks the d-th member of the current cell's halfZ; grid.cell is the
-    inverse.
+    d picks the d-th member of the current cell's halfZ.  K levels of that
+    nesting make one 3^K x 2^K block, so grid._coord_of descends K digits
+    per step and walks only the 0 to K - 1 digits left over one at a time;
+    grid.cell is the inverse.
     """
     _check_ternary(w)
     return GridCoord(*_coord_of(w))

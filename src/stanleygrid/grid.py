@@ -6,13 +6,16 @@ Every canonical {0,1,2}-string appears in exactly one cell, and the base-3
 values of row i are exactly the i-th greedy 3-free row.
 
 The string <-> cell bijection runs through the halfZ nesting (see
-fractal): each digit of a string picks one cell of a 3 x 2 block, so a
-string reaches its cell in one step per digit, and zooming a cell out to
-the origin reads its digits back.  This module owns that block numbering
-(_coord_of steps down, _zoom steps up; fractal only calls them).  Both
-directions take time linear in the string length and keep no state, so
-the grid is the plain functions cell, row_of and window; the add-2 column
-rule is not used here and stays an independent check.
+fractal): each digit of a string picks one cell of a 3 x 2 block, and
+zooming a cell out to the origin reads its digits back.  Since zooming
+out maps the grid onto itself, K digits pick one cell of a 3^K x 2^K
+block, so both directions go K levels per step through two small tables,
+_DOWN and _UP, built at import from the one-digit rules.  This module owns
+that block numbering (the one-digit step in _coord_of and _zoom are its
+only definition; fractal only calls them).  Both directions take time
+linear in the string length and keep no state, so the grid is the plain
+functions cell, row_of and window; the add-2 column rule is not used here
+and stays an independent check.
 """
 
 from __future__ import annotations
@@ -52,16 +55,35 @@ def _check_ternary(w: str) -> None:
         raise MalformedStringError(f"{w!r} has a leading zero")
 
 
+K = 3                  # levels per table step: 3^K x 2^K blocks
+_ROWS = 3**K
+_COL_MASK = 2**K - 1
+
+
 def _coord_of(w: str, p: int = 0, q: int = 0) -> tuple[int, int]:
-    """(row, col) reached from the prefix cell (p, q) by appending w, one digit per step.
+    """(row, col) reached from the prefix cell (p, q) by appending w.
 
     Number the six cells of the 3 x 2 block at (3a, 2b) row by row,
     k = 2 * (row % 3) + col % 2.  The upper halfZ anchored at (a, b) is
     k = 0, 1, 2 with its prefix at (2a, b); the lower one is k = 3, 4, 5
     with its prefix at (2a + 1, b).  So from prefix cell (p, q), digit d
-    leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q).
-    The origin is its own prefix, so a whole string walks from there.
+    leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q):
+    that one-digit step is the last loop below.  The origin is its own
+    prefix, so a whole string walks from there.
+
+    K digits at a time go through _DOWN in one step; the one-digit loop
+    walks only the 0 to K - 1 digits left over, so a single digit (as
+    descend appends) never touches the table.  A _DOWN step holds from
+    every prefix cell, not only from the origin (see the note at _DOWN),
+    which witness._construct needs: it re-walks from a prefix cell.
     """
+    if len(w) >= K:
+        head = len(w) - len(w) % K
+        for i in range(0, head, K):
+            r, c = _DOWN[p & _COL_MASK][w[i:i + K]]
+            p = _ROWS * (p >> K) + r
+            q = (q << K) + c
+        w = w[head:]
     for ch in w:
         r, c = divmod(3 * (p & 1) + int(ch), 2)
         p = 3 * (p >> 1) + r
@@ -80,20 +102,65 @@ def _zoom(i: int, j: int) -> tuple[int, int, int]:
     return 2 * a + k // 3, j >> 1, k % 3
 
 
+def _down_row(p: int) -> dict[str, tuple[int, int]]:
+    """Each K-digit string -> the cell (L, B) it leads to from prefix cell (p, 0).
+
+    Walks the strings as a tree, one digit per _coord_of call, so no call
+    reads _DOWN, which this builds.
+    """
+    ends = {"": (p, 0)}
+    for _ in range(K):
+        ends = {w + d: _coord_of(d, *end) for w, end in ends.items() for d in "012"}
+    return ends
+
+
+def _zoom_block(i: int, j: int) -> tuple[int, str]:
+    """(F, digits): K one-level zooms take cell (i, j), i < 3^K and j < 2^K,
+    to (F, 0), reading `digits`, most significant first."""
+    digits = ""
+    for _ in range(K):
+        i, j, d = _zoom(i, j)
+        digits = "012"[d] + digits
+    return i, digits
+
+
+# _DOWN[p % 2^K][K digits] = (L, B): appending the digits to any prefix cell
+# (p, q) leads to (3^K * (p >> K) + L, 2^K * q + B), for every p >= 0, not
+# only from the origin (witness re-walks from a prefix cell).  By induction
+# on the steps: after t < K of them the row is 3^t * 2^(K-t) * (p >> K) plus
+# the row the walk from (p % 2^K, 0) has reached, so it has that walk's
+# parity, and the next step, p -> 3 * (p >> 1) + r, keeps the form with t+1.
+# The column doubles each step whatever the row, plus a bit that depends
+# only on the row's parity and the digit.
+_DOWN = tuple(_down_row(p) for p in range(2**K))
+
+# _UP[i % 3^K][j % 2^K] = (F, digits): zooming cell (i, j) out K levels
+# leads to (2^K * (i // 3^K) + F, j >> K) and reads `digits`; it is the
+# inverse of _DOWN, and holds for every (i, j) by the same induction.
+_UP = tuple(tuple(_zoom_block(i, j) for j in range(2**K)) for i in range(_ROWS))
+
+
 def cell(i: int, j: int) -> str:
     """The string in cell (i, j): the inverse of _coord_of.
 
-    Zooms out to the origin, reading one digit per level.
+    Zooms out to the origin K levels per step through _UP, reading K
+    digits each time.  The origin zooms onto itself with digit 0, so the
+    digits the last step reads past the origin are leading zeros; they are
+    stripped, which is safe because no cell but the origin holds a string
+    that starts with 0.
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {i}")
     if j < 0:
         raise ValueError(f"column index must be >= 0, got {j}")
-    digits = []
+    chunks = []
     while i or j:
-        i, j, d = _zoom(i, j)
-        digits.append("012"[d])
-    return "".join(reversed(digits)) or "0"
+        a, r = divmod(i, _ROWS)
+        f, digits = _UP[r][j & _COL_MASK]
+        i = (a << K) + f
+        j >>= K
+        chunks.append(digits)
+    return "".join(reversed(chunks)).lstrip("0") or "0"
 
 
 def main_suffix(w: str) -> str:
@@ -109,7 +176,7 @@ def main_suffix(w: str) -> str:
 def row_of(w: str) -> int:
     """Row index of the unique cell containing the canonical string w.
 
-    One halfZ descent step per digit, so linear in len(w).
+    One block descent step per K digits (see _coord_of), so linear in len(w).
     """
     _check_ternary(w)
     return _coord_of(w)[0]

@@ -257,8 +257,8 @@ def suite_radix(max_value: int) -> list[CheckResult]:
     ref = refdata.bundled("A024629")
     got = [radix.represent(n) for n in range(len(ref))]
     want = [str(v) for v in ref.values]
-    out.append(_result("base32-prefix-vs-A024629", got == want, len(ref),
-                       f"got {got[:5]}..."))
+    out.append(_terms_vs("base32-prefix-vs-A024629", "the base-3/2 numeral of", got, "A024629",
+                         want, len(ref)))
 
     out.append(_round_trip(min(100_000, max_value)))
     out.append(_carry_rule(carry_length))
@@ -320,12 +320,12 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     return out
 
 
-def _row_vs(name: str, row: int, got: Iterable[int], ref: str, want: list[int],
-            checked: int) -> CheckResult:
-    """Row `row` of the sieve lists `want`; a failure names the first term where
-    it parts from `ref`."""
+def _terms_vs(name: str, what: str, got: Iterable, ref: str, want: list,
+              checked: int) -> CheckResult:
+    """`got` lists `want`; a failure names the first term where it parts from
+    `ref`, as "{what} i is g, {ref} has w"."""
     terms = enumerate(itertools.zip_longest(got, want, fillvalue="none"))
-    fault = next((f"row {row} term {i} is {g}, {ref} has {w}" for i, (g, w) in terms if g != w), "")
+    fault = next((f"{what} {i} is {g}, {ref} has {w}" for i, (g, w) in terms if g != w), "")
     return _result(name, not fault, checked, fault)
 
 
@@ -348,17 +348,19 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
     ternary = [radix.represent(n, radix.BASE_3) for n in range(limit)]
     no2 = [n for n, s in enumerate(ternary) if "2" not in s]
     single2 = [n for n, s in enumerate(ternary) if s.count("2") == 1 and s.rstrip("0").endswith("2")]
-    out.append(_row_vs("row0-prefix-vs-A005836", 0, part.row(0)[: len(ref0)], "A005836", ref0,
-                      len(ref0)))
-    out.append(_row_vs("row1-prefix-vs-A323398", 1, part.row(1)[: len(ref1)], "A323398", ref1,
-                      len(ref1)))
-    out.append(_row_vs("row0-is-the-no-2-set", 0, part.row(0), "the no-2 set", no2, limit))
-    out.append(_row_vs("row1-is-the-single-2-set", 1, part.row(1), "the single-2 set", single2,
-                      limit))
+    out.append(_terms_vs("row0-prefix-vs-A005836", "row 0 term", part.row(0)[: len(ref0)],
+                         "A005836", ref0, len(ref0)))
+    out.append(_terms_vs("row1-prefix-vs-A323398", "row 1 term", part.row(1)[: len(ref1)],
+                         "A323398", ref1, len(ref1)))
+    out.append(_terms_vs("row0-is-the-no-2-set", "row 0 term", part.row(0), "the no-2 set", no2,
+                         limit))
+    out.append(_terms_vs("row1-is-the-single-2-set", "row 1 term", part.row(1),
+                         "the single-2 set", single2, limit))
 
     refx = [v for v in refdata.bundled("A265316").values if v < limit]
     got = greedy.cross_sequence(part, len(refx))
-    out.append(_result("cross-prefix-vs-A265316", got == refx, len(refx), f"got {got}"))
+    out.append(_terms_vs("cross-prefix-vs-A265316", "cross term", got, "A265316", refx,
+                         len(refx)))
     return out
 
 
@@ -375,8 +377,9 @@ def suite_grid() -> list[CheckResult]:
         ["21", "22", "201", "202", "121", "122"],
         ["210", "211", "220", "221", "2010", "2011"],
     ]
-    got = [[win.cells[i][j] for j in range(6)] for i in range(4)]
-    out.append(_result("top-left-corner", got == corner, 24))
+    out.append(_scan("top-left-corner", (
+        "" if win.cells[i][j] == s else f"cell({i}, {j}) is {win.cells[i][j]}, not {s}"
+        for i, row in enumerate(corner) for j, s in enumerate(row))))
 
     def columns():
         for j in range(win.cols):
@@ -388,25 +391,17 @@ def suite_grid() -> list[CheckResult]:
                 yield "" if below == want else f"cell({i + 1}, {j}) is {below}, not {want}"
     out.append(_scan("columns-follow-add-two", columns()))
 
-    # every short canonical string appears exactly once, where locate says
-    big = grid.window(46, 64)
-    seen: dict[str, tuple[int, int]] = {}
-    bad = 0
-    for i in range(big.rows):
-        for j in range(big.cols):
-            s = big.cells[i][j]
-            if s in seen:
-                bad += 1
-            seen[s] = (i, j)
+    # every short canonical string appears exactly once, where locate says,
+    # and no string appears twice
+    where: dict[str, list[tuple[int, int]]] = {}
+    for i, row in enumerate(grid.window(46, 64).cells):
+        for j, s in enumerate(row):
+            where.setdefault(s, []).append((i, j))
     short = list(_strings(6))
-    missing = [s for s in short if s not in seen]
-    misplaced = [s for s in short if s in seen and fractal.locate(s) != seen[s]]
-    out.append(_result(
-        "strings-upto-len6-unique",
-        not missing and not misplaced and bad == 0,
-        len(short),
-        f"missing {missing[:3]} misplaced {misplaced[:3]}",
-    ))
+    fault = next((f"{s} sits at {where.get(s, [])}, locate says {tuple(fractal.locate(s))}"
+                  for s in short if where.get(s) != [fractal.locate(s)]), "")
+    fault = fault or next((f"{s} sits at {at}" for s, at in where.items() if len(at) > 1), "")
+    out.append(_result("strings-upto-len6-unique", not fault, len(short), fault))
 
     def prefixed():
         for i in range(0, 12):
@@ -541,18 +536,15 @@ def suite_witness(max_value: int) -> list[CheckResult]:
 
     x = "11102010220102110110011000"
     pair, trace = witness.witness(x, 1)
-    x1, x2, x3 = witness.decompose(x)
-    parse_ok = (x1, x2, x3) == ("111020102201021101", "10011", "000")
-    b_ok = pair.d == "11101010110101110101200000"
+    parts = witness.decompose(x)
+    b = "11101010110101110101200000"
     c3, d3, v3 = pair.values
-    ap_ok = d3 - c3 == v3 - d3 and c3 < d3
-    rows_ok = grid.row_of(pair.c) == 1 and grid.row_of(pair.d) == 1
-    out.append(_result(
-        "26-digit-example",
-        parse_ok and b_ok and ap_ok and rows_ok,
-        1,
-        f"parse={parse_ok} b={b_ok} ap={ap_ok} rows={rows_ok} a={pair.c}",
-    ))
+    rows = grid.row_of(pair.c), grid.row_of(pair.d)
+    fault = (f"decompose gave {parts}" if parts != ("111020102201021101", "10011", "000")
+             else f"b is {pair.d}, not {b}" if pair.d != b
+             else f"a = {pair.c}, b, x is not an AP" if not (d3 - c3 == v3 - d3 and c3 < d3)
+             else f"a, b sit in rows {rows}, not 1" if rows != (1, 1) else "")
+    out.append(_result("26-digit-example", not fault, 1, fault))
 
     def exclusion_fault(w: str, j: int) -> str:
         p, tr = witness.witness(w, j)

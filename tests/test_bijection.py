@@ -3,7 +3,8 @@
 The reference for row_of is the column scan it replaced: every column
 whose binary seed is no longer than the main suffix is walked with add_two.
 It takes time exponential in the main suffix, so it is only run on short
-strings.
+strings.  The block tables that walk K digits per step are checked against
+one-digit walks in both directions.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stanleygrid import grid
 from stanleygrid.fractal import locate
 from stanleygrid.grid import binary_string, cell, main_suffix, row_of
 from stanleygrid.radix import BASE_3_2, add_two, evaluate
@@ -117,3 +119,38 @@ def test_deep_lookups_finish_fast():
     s = cell(10**6, 10**6)
     assert time.perf_counter() - t0 < 1.0
     assert locate(s) == (10**6, 10**6)
+
+
+def _one_digit_step(p, q, d):
+    """Digit d appended to prefix cell (p, q) lands in cell k = 3 * (p % 2) + d,
+    numbered row by row, of the 3 x 2 block at (3 * (p // 2), 2q)."""
+    k = 3 * (p % 2) + d
+    return 3 * (p // 2) + k // 2, 2 * q + k % 2
+
+
+def test_coord_of_matches_one_digit_walks_from_every_start():
+    # lengths 0..2K+1 leave every tail length 0..K-1 after zero, one and two table steps;
+    # starts p < 2^(K+1) cover every table row, each with two values of p >> K
+    starts = [(p, q) for p in range(2 ** (grid.K + 1)) for q in range(4)]
+    level = {"": starts}
+    checked = 0
+    for _ in range(2 * grid.K + 2):
+        for w, ends in level.items():
+            assert [grid._coord_of(w, p, q) for p, q in starts] == ends, w
+            checked += len(starts)
+        level = {w + "012"[d]: [_one_digit_step(p, q, d) for p, q in ends]
+                 for w, ends in level.items() for d in range(3)}
+    assert checked == len(starts) * sum(3**n for n in range(2 * grid.K + 2))
+
+
+def test_cell_matches_one_level_zooms_over_two_blocks():
+    def zoom_one_level(i, j):
+        digits = []
+        while i or j:
+            i, j, d = grid._zoom(i, j)
+            digits.append("012"[d])
+        return "".join(reversed(digits)) or "0"
+
+    for i in range(3 ** (2 * grid.K)):
+        for j in range(2 ** (2 * grid.K)):
+            assert cell(i, j) == zoom_one_level(i, j), (i, j)

@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import itertools
+import json
 import re
 
 import pytest
@@ -109,6 +110,8 @@ def swapping(i, k):
     return lambda real: lambda *a: swap(real(*a))
 
 
+X26 = "11102010220102110110011000"
+
 # (suite, module, function, its mutant maker, the check that must catch it,
 #  the number of cases that check runs up to and including the wrong one)
 MUTANTS = [
@@ -117,6 +120,8 @@ MUTANTS = [
     # 2187 cases per base; base 5/3 comes third
     ("radix", radix, "represent", wrong_on((100, radix.RationalBase(5, 3)), "1"),
      "round-trip-three-bases", 2 * 2187 + 101),
+    # 5 is "22" in base 3/2; the reference check counts all 13 bundled terms
+    ("radix", radix, "represent", wrong_on((5,), "21"), "base32-prefix-vs-A024629", 13),
     # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
     # so with 25 sieved into it its second pair ends an AP
     ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
@@ -136,12 +141,20 @@ MUTANTS = [
     ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193),
     # row 0 starts "0", "1", "10": worth 0, 1, 2, its first pair ends an AP
     ("grid", radix, "evaluate", wrong_on(("10",), 2), "rows-are-3free-by-value", 1),
+    # "121" at cell (2, 4) is the 17th of the 24 corner cells
+    ("grid", grid, "cell", wrong_on((2, 4), "112"), "top-left-corner", 17),
+    # cell (40, 60) lies only in the 46 x 64 window; "0" there repeats the origin's string
+    ("grid", grid, "cell", wrong_on((40, 60), "0"), "strings-upto-len6-unique", 729),
+    # "202" is cell (2, 3), after the 2 x 32 cells of rows 0 and 1
+    ("grid", grid, "main_suffix", wrong_on(("202",), "20"), "main-suffix-determines-the-row", 68),
     # "1210" is 48 in base 3, entry 48 of the walk
     ("fractal", fractal, "locate", wrong_on(("1210",), grid.GridCoord(0, 0)),
      "traversal-counts-in-ternary", 49),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
      "decompose-reassembles", 5),
+    # witness() does not split x, so only the 26-digit example's parse goes wrong
+    ("witness", witness, "decompose", wrong_on((X26,), (X26, "", "")), "26-digit-example", 1),
     # A024629 is the second bundled sequence; its b-file starts at index 0
     ("refdata", refdata, "bundled",
      wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
@@ -163,6 +176,26 @@ def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, 
     assert check in failed
     assert all(r.detail for r in failed.values()), failed
     assert failed[check].checked == checked
+    assert failed[check].detail == DETAILS.get(check, failed[check].detail)
+
+
+# what the checks whose detail names the first mismatch say under their MUTANTS row
+DETAILS = {
+    "base32-prefix-vs-A024629": "the base-3/2 numeral of 5 is 21, A024629 has 22",
+    "cross-prefix-vs-A265316": "cross term 2 is 8, A265316 has 7",
+    "top-left-corner": "cell(2, 4) is 112, not 121",
+    "strings-upto-len6-unique": "0 sits at [(0, 0), (40, 60)], locate says (0, 0)",
+    "main-suffix-determines-the-row": "main suffix '20' of cell(2, 3) is not in row 2",
+    "26-digit-example": f"decompose gave {(X26, '', '')}",
+}
+
+
+def test_a_passing_json_report_has_no_details(capsys):
+    code = cli.main(["verify", "--suite", "all", "--max-value", "2187", "--max-rows", "20",
+                     "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["passed"]
+    assert [c["detail"] for c in doc["checks"]] == [""] * 36
 
 
 def test_a_swapped_traversal_names_the_first_entry_out_of_order(monkeypatch):
