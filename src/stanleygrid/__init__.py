@@ -1,10 +1,7 @@
 """Base 3/2 numeration and the greedy partition into 3-free sequences."""
 
 from .fractal import (
-    CheckReport,
     HalfZ,
-    check_minus1,
-    check_zero_column,
     halfz_of,
     locate,
     row_values_below,

@@ -14,7 +14,12 @@ zoom_coord here are one-line uses of it.
 Reading the grid along that nesting enumerates the canonical ternary
 strings in counting order, one digit of (n)_3 per nesting level.  locate()
 follows that nesting down to a string's coordinate in linear time; grid
-collapses K levels into one step of a 3^K x 2^K block.
+collapses K levels into one step of a 3^K x 2^K block.  row_values_below
+runs the same nesting on values, listing a row's base-3 values without
+building its cells.  verify's fractal suite checks the two facts the
+paper's column-0 argument rests on with locate and row_values_below:
+decrementing a numeral drops its row by at most one, and cell (i, 0)
+holds the smallest value of row i.
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ def halfz_of(i: int, j: int, level: int = 0) -> HalfZ:
 
     Zooming out `level` times maps the cell onto the grid again; the
     level-0 halfZ there describes the level-`level` one: its members are
-    the prefix cells of the three level-(level-1) children.
+    the prefix cells of the three level-(level-1) children.  Every cell
+    reaches the origin, the only cell that zooms onto itself, within
+    O(log(i + j)) zooms, so the walk stops there whatever `level` is.
     """
     if i < 0 or j < 0:
         raise ValueError(f"coordinates must be non-negative, got ({i}, {j})")
@@ -71,6 +78,8 @@ def halfz_of(i: int, j: int, level: int = 0) -> HalfZ:
         raise ValueError(f"level must be >= 0, got {level}")
     p, q = i, j
     for _ in range(level):
+        if p == q == 0:
+            break
         p, q = zoom_coord(p, q)
     prefix = zoom_coord(p, q)        # upper prefixes sit on even rows, lower on odd
     members = tuple(descend(prefix, d) for d in range(3))
@@ -205,68 +214,3 @@ def row_values_below(row: int, bound: int) -> list[int]:
         length += 1
     return sorted(out)
 
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    checked: int
-    counterexample: dict | None = None
-
-
-def check_minus1(limit: int) -> CheckReport:
-    """Decrementing a base-3 numeral drops its grid row by at most one.
-
-    Checks row_of((v-1)_3) >= row_of((v)_3) - 1 for 1 <= v < limit,
-    rows taken from the descent map.
-    """
-    prev = "0"
-    prev_row = 0
-    checked = 0
-    for v in range(1, limit):
-        cur, _ = ternary_successor(prev)
-        cur_row = locate(cur).row
-        checked += 1
-        if prev_row < cur_row - 1:
-            return CheckReport(
-                name="minus1",
-                passed=False,
-                checked=checked,
-                counterexample={"v": v, "row_v": cur_row, "row_v_minus_1": prev_row},
-            )
-        prev, prev_row = cur, cur_row
-    return CheckReport(name="minus1", passed=True, checked=checked)
-
-
-def check_zero_column(rows: int) -> CheckReport:
-    """Column 0 is strictly increasing in base-3 value and minimal in its row.
-
-    Minimality: the values of row i up to the column entry's value v must
-    start with v itself.
-    """
-    prev_val = -1
-    checked = 0
-    for i in range(rows):
-        v = int(cell(i, 0), 3)
-        checked += 1
-        if v <= prev_val:
-            return CheckReport(
-                name="zero_column",
-                passed=False,
-                checked=checked,
-                counterexample={"row": i, "value": v, "prev": prev_val, "reason": "not increasing"},
-            )
-        below = row_values_below(i, v + 1)
-        if below[:1] != [v]:
-            return CheckReport(
-                name="zero_column",
-                passed=False,
-                checked=checked,
-                counterexample={"row": i, "value": v, "row_min": below[0] if below else None,
-                                "reason": "not minimal"},
-            )
-        prev_val = v
-    return CheckReport(name="zero_column", passed=True, checked=checked)

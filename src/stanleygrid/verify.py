@@ -429,9 +429,12 @@ def suite_grid() -> list[CheckResult]:
     out.append(_scan("rows-are-3free-by-value", by_value()))
 
     w = grid.window(4, 6)
-    csv_ok = w.to_csv().splitlines()[1].split(",") == corner[1]
-    json_ok = json.loads(w.to_json())[3] == corner[3]
-    out.append(_result("window-serialization", csv_ok and json_ok, 2))
+    csv_row = w.to_csv().splitlines()[1].split(",")
+    json_row = json.loads(w.to_json())[3]
+    fault = (f"CSV row 1 parses as {csv_row}, not {corner[1]}" if csv_row != corner[1]
+             else f"JSON row 3 parses as {json_row}, not {corner[3]}" if json_row != corner[3]
+             else "")
+    out.append(_result("window-serialization", not fault, 2, fault))
     return out
 
 
@@ -516,13 +519,25 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
             count, depth = fractal.ternary_successor(count)
     out.append(_scan("traversal-counts-in-ternary", steps()))
 
-    rep = fractal.check_minus1(limit)
-    out.append(_result("decrement-drops-at-most-one-row", rep.passed, rep.checked,
-                       json.dumps(rep.counterexample) if rep.counterexample else ""))
+    def decrements():
+        w, row = "0", 0
+        for v in range(1, limit):
+            w, _ = fractal.ternary_successor(w)
+            prev, row = row, fractal.locate(w).row
+            yield "" if prev >= row - 1 else f"{v} ({w}) sits in row {row}, {v - 1} in row {prev}"
+    out.append(_scan("decrement-drops-at-most-one-row", decrements()))
 
-    rep = fractal.check_zero_column(max_rows)
-    out.append(_result("column-0-minimal-and-increasing", rep.passed, rep.checked,
-                       json.dumps(rep.counterexample) if rep.counterexample else ""))
+    def column_0():
+        prev = -1
+        for i in range(max_rows):
+            v = int(grid.cell(i, 0), 3)
+            if v <= prev:
+                yield f"column 0 is worth {prev} in row {i - 1}, {v} in row {i}"
+            else:
+                below = fractal.row_values_below(i, v + 1)
+                yield "" if below[:1] == [v] else f"row {i} holds {below[:5]} up to its column-0 {v}"
+            prev = v
+    out.append(_scan("column-0-minimal-and-increasing", column_0()))
     return out
 
 

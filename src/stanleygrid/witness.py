@@ -63,29 +63,18 @@ class WitnessPair:
     def values(self) -> tuple[int, int, int]:
         return _read_int(self.c, 3), _read_int(self.d, 3), _read_int(self.x, 3)
 
-    def as_dict(self, trace: list[str] | None = None) -> dict:
-        rec = {
-            "x": self.x,
-            "j": self.target_row,
-            "c": self.c,
-            "d": self.d,
-            "values_base3": list(self.values),
-        }
-        if trace is not None:
-            rec["trace"] = list(trace)
-        return rec
-
     def to_json(self, trace: list[str] | None = None) -> str:
-        """as_dict as compact JSON.  The values go through radix.to_decimal, since
-        json.dumps writes ints with str(), which refuses more than 4300 digits."""
-        fields = []
-        for key, value in self.as_dict(trace).items():
-            if key == "values_base3":
-                text = "[" + ",".join(map(to_decimal, value)) + "]"
-            else:
-                text = json.dumps(value, separators=(",", ":"))
-            fields.append(f"{json.dumps(key)}:{text}")
-        return "{" + ",".join(fields) + "}"
+        """x, j, c, d, values_base3 and, if given, the trace, as compact JSON.
+
+        The values go through radix.to_decimal, since json.dumps writes ints
+        with str(), which refuses more than 4300 digits.
+        """
+        head = {"x": self.x, "j": self.target_row, "c": self.c, "d": self.d}
+        text = json.dumps(head, separators=(",", ":"))[:-1]
+        text += ',"values_base3":[' + ",".join(map(to_decimal, self.values)) + "]"
+        if trace is not None:
+            text += ',"trace":' + json.dumps(list(trace), separators=(",", ":"))
+        return text + "}"
 
 
 def decompose(x: str) -> tuple[str, str, str]:

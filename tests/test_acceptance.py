@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from stanleygrid import fractal, greedy, grid, radix
+from stanleygrid import fractal, greedy, grid, radix, verify
 from stanleygrid.witness import witness, witness_oracle
 
 
@@ -137,12 +137,12 @@ def test_criterion_6_halfz_partition_zoom_traversal():
 
 def test_criterion_7_structure_checks():
     t0 = time.perf_counter()
-    r1 = fractal.check_minus1(3**9)
-    r2 = fractal.check_zero_column(200)
+    report = verify.run_suite("fractal", max_value=3**9, max_rows=200)
     elapsed = time.perf_counter() - t0
+    got = {r.name: (r.passed, r.detail, r.checked) for r in report.results}
     ok = (
-        r1.passed and r1.counterexample is None and r1.checked == 3**9 - 1
-        and r2.passed and r2.counterexample is None and r2.checked == 200
+        got["decrement-drops-at-most-one-row"] == (True, "", 3**9 - 1)
+        and got["column-0-minimal-and-increasing"] == (True, "", 200)
         and elapsed < 60
     )
     _report(ok, f"criterion 7: decrement and column-minimum checks, no counterexamples, in {elapsed:.1f}s")

@@ -7,18 +7,17 @@ at (2a, b), a lower one (3a+1, 2b+1), (3a+2, 2b), (3a+2, 2b+1) with its
 prefix at (2a+1, b).
 """
 
+import dataclasses
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stanleygrid import fractal
 from stanleygrid.fractal import (
     WindowShapeError,
     _row_values,
-    check_minus1,
-    check_zero_column,
     descend,
     halfz_of,
     locate,
@@ -285,31 +284,18 @@ def test_row_values_below_agrees_with_row_of(v):
     assert all(row_of(represent(u, BASE_3)) == row for u in values[-8:])
 
 
-def test_check_minus1():
-    rep = check_minus1(3**5)
-    assert rep.passed and rep.counterexample is None
-    assert rep.checked == 3**5 - 1
-
-
-def test_check_zero_column():
-    rep = check_zero_column(40)
-    assert rep.passed and rep.counterexample is None
-    assert rep.checked == 40
-
-
-def test_check_zero_column_fails_on_an_entry_past_its_row_minimum(monkeypatch):
-    # cell(5, 1) is in row 5 and larger than cell(4, 0), but row 5 starts at
-    # the base-3 value of the base-3/2 string of 10
-    monkeypatch.setattr(fractal, "cell", lambda i, j: cell(5, 1) if (i, j) == (5, 0) else cell(i, j))
-    rep = check_zero_column(40)
-    assert (rep.passed, rep.checked) == (False, 6)
-    assert rep.counterexample == {"row": 5, "value": int(cell(5, 1), 3),
-                                  "row_min": int(represent(10), 3), "reason": "not minimal"}
-
-
 def test_level_one_halfz_groups_three_prefixes():
     hz1 = halfz_of(3, 2, level=1)
     assert hz1.level == 1
     # its members are the prefix cells of three level-0 halfZs
     child = halfz_of(3, 2, level=0)
     assert tuple(child.lcp_coord) in {tuple(m) for m in hz1.members}
+
+
+def test_halfz_of_stops_zooming_at_the_origin():
+    # (5, 7) reaches the origin within a few zooms, and the origin zooms onto itself
+    t0 = time.perf_counter()
+    hz = halfz_of(5, 7, level=10**12)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1
+    assert hz == dataclasses.replace(halfz_of(5, 7, level=60), level=10**12)

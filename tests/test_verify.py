@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,8 @@ MUTANTS = [
      "round-trip-three-bases", 2 * 2187 + 101),
     # 5 is "22" in base 3/2; the reference check counts all 13 bundled terms
     ("radix", radix, "represent", wrong_on((5,), "21"), "base32-prefix-vs-A024629", 13),
+    # "000" pads the first numeral, "0"
+    ("radix", radix, "evaluate", wrong_on(("000",), Fraction(1)), "leading-zeros-are-neutral", 1),
     # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
     # so with 25 sieved into it its second pair ends an AP
     ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
@@ -147,14 +150,25 @@ MUTANTS = [
     ("grid", grid, "cell", wrong_on((40, 60), "0"), "strings-upto-len6-unique", 729),
     # "202" is cell (2, 3), after the 2 x 32 cells of rows 0 and 1
     ("grid", grid, "main_suffix", wrong_on(("202",), "20"), "main-suffix-determines-the-row", 68),
+    # cell (1, 4) is "102", in the window's CSV row 1; the JSON row 3 comes second
+    ("grid", grid, "cell", wrong_on((1, 4), "1020"), "window-serialization", 2),
     # "1210" is 48 in base 3, entry 48 of the walk
     ("fractal", fractal, "locate", wrong_on(("1210",), grid.GridCoord(0, 0)),
      "traversal-counts-in-ternary", 49),
+    # "10" is 3 in base 3; "2", worth 2, sits in row 1
+    ("fractal", fractal, "locate", wrong_on(("10",), grid.GridCoord(3, 0)),
+     "decrement-drops-at-most-one-row", 3),
+    # column 0 of row 5 is "2101", worth 64; rows 0-4 come first
+    ("fractal", fractal, "row_values_below", wrong_on((5, 65), [60, 64]),
+     "column-0-minimal-and-increasing", 6),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
      "decompose-reassembles", 5),
     # witness() does not split x, so only the 26-digit example's parse goes wrong
     ("witness", witness, "decompose", wrong_on((X26,), (X26, "", "")), "26-digit-example", 1),
+    # "1" sits in row 0, the first impossible target tried
+    ("witness", witness, "witness", wrong_on(("1", 0), witness.witness("2", 0)),
+     "rejects-impossible-targets", 1),
     # A024629 is the second bundled sequence; its b-file starts at index 0
     ("refdata", refdata, "bundled",
      wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
@@ -187,6 +201,12 @@ DETAILS = {
     "strings-upto-len6-unique": "0 sits at [(0, 0), (40, 60)], locate says (0, 0)",
     "main-suffix-determines-the-row": "main suffix '20' of cell(2, 3) is not in row 2",
     "26-digit-example": f"decompose gave {(X26, '', '')}",
+    "leading-zeros-are-neutral": "000 != 0",
+    "window-serialization": "CSV row 1 parses as ['2', '20', '12', '200', '1020', '120'], "
+                            "not ['2', '20', '12', '200', '102', '120']",
+    "decrement-drops-at-most-one-row": "3 (10) sits in row 3, 2 in row 1",
+    "column-0-minimal-and-increasing": "row 5 holds [60, 64] up to its column-0 64",
+    "rejects-impossible-targets": "witness(1, 0) raised no NotApplicableError",
 }
 
 
