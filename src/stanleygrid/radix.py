@@ -7,10 +7,24 @@ sum a_i (p/q)^i, which is an integer again even though the intermediate
 place values are fractions.  For p/q = 3/2 every non-negative integer has
 a unique such string, and adding 2 to the represented value is a purely
 local digit rewrite (see add_two).
+
+represent takes k digits per step.  Write n = p^k*m + R with R < p^k.  One
+step emits n mod p and continues with q*(n - n mod p)/p, which is linear
+on multiples of p: through the first k steps the p^k*m part stays a
+multiple of p, so it never reaches a digit and only turns into q^k*m.
+The k low digits of n are thus the k digits that R alone emits, and what
+is left after them is q^k*m + left(R), with left(R) <= (q/p)^k*R < q^k.
+Every division is exact and every value an integer, so a table of
+(digits, left) for each R < p^k, built once per base from the one-digit
+step, gives the same string as the one-digit loop, with one divmod per k
+digits; only the top block may add leading zeros, which are stripped.
+k is the largest with p^k <= 1024: 6 for bases 3/2 and 3, 4 for 5/3, 10
+for 2, 3 for 10.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +36,9 @@ _DEC3 = str.maketrans("012", "201")
 
 # digits per int() or str() call: Python refuses conversions past 4300 digits
 _DIGIT_CHUNK = 4000
+
+# most entries of a base's block table: p^k <= this for the k digits of a block
+_TABLE_ENTRIES = 1024
 
 
 class InvalidDigitError(ValueError):
@@ -55,6 +72,26 @@ class RationalBase:
     def __str__(self) -> str:
         return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)
 
+    @functools.cached_property
+    def blocks(self) -> tuple[int, int, tuple[tuple[str, int], ...]]:
+        """(p^k, q^k, table) for represent: table[R] holds the k digits that
+        k one-digit steps emit from R (most significant first) and the value
+        left after them.  Built on first use; equality and hashing ignore it.
+        """
+        p, q = self.p, self.q
+        k = 1
+        while p ** (k + 1) <= _TABLE_ENTRIES:
+            k += 1
+        table = []
+        for rest in range(p**k):
+            digits = []
+            for _ in range(k):
+                r = rest % p
+                digits.append(_DIGITS[r])
+                rest = q * (rest - r) // p
+            table.append(("".join(reversed(digits)), rest))
+        return p**k, q**k, tuple(table)
+
 
 BASE_3_2 = RationalBase(3, 2)
 BASE_3 = RationalBase(3)
@@ -80,20 +117,22 @@ def _check_digits(w: str, base: RationalBase) -> None:
 def represent(n: int, base: RationalBase = BASE_3_2) -> str:
     """The canonical base-p/q digit string of a non-negative integer.
 
-    Each step emits n mod p as the next digit (least significant first)
-    and continues with q*(n - n mod p)/p.
+    Each step splits n = p^k*m + R, emits R's k digits from the base's
+    block table and continues with q^k*m + left(R) (see the module notes).
     """
     if n < 0:
         raise ValueError(f"cannot represent negative value {n}")
     if n == 0:
         return "0"
-    p, q = base.p, base.q
+    pk, qk, table = base.blocks
     out = []
     while n:
-        r = n % p
-        out.append(_DIGITS[r])
-        n = q * (n - r) // p
-    return "".join(reversed(out))
+        m, r = divmod(n, pk)
+        digits, left = table[r]
+        out.append(digits)
+        n = qk * m + left
+    out.reverse()
+    return "".join(out).lstrip("0")
 
 
 def scaled_value(w: str, base: RationalBase = BASE_3_2) -> tuple[int, int]:
@@ -125,13 +164,12 @@ def add_two(w: str) -> str:
     nonzero); that 0 and every digit to its right are decremented mod 3,
     everything to the left is untouched.
     """
-    _check_digits(w, BASE_3_2)
-    if not is_canonical(w):
+    if not w or w.strip("012") or (w[0] == "0" and len(w) > 1):
+        _check_digits(w, BASE_3_2)
         raise InvalidDigitError(f"{w!r} has a leading zero")
     i = w.rfind("0")
     if i < 0:
-        w = "0" + w
-        i = 0
+        return "2" + w.translate(_DEC3)       # the prepended 0 decrements to 2
     return w[:i] + w[i:].translate(_DEC3)
 
 

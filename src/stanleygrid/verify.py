@@ -176,12 +176,13 @@ def _strings(max_len: int) -> Iterator[str]:
                 yield lead + "".join(rest)
 
 
-def _raises(exc: type[Exception], fn, *args) -> bool:
+def _rejects(exc: type[Exception], call: str, fn, *args) -> str:
+    """"" if fn(*args) raises exc, else what the call (written `call`) returned instead."""
     try:
-        fn(*args)
+        got = fn(*args)
     except exc:
-        return True
-    return False
+        return ""
+    return f"{call} returned {got!r} and raised no {exc.__name__}"
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +268,8 @@ def suite_radix(max_value: int) -> list[CheckResult]:
         "" if radix.evaluate("00" + w) == radix.evaluate(w) else f"00{w} != {w}"
         for w in map(radix.represent, range(0, 2000, 7)))))
 
-    out.append(_result("rejects-bad-digits",
-                       _raises(radix.InvalidDigitError, radix.add_two, "13"), 1))
+    out.append(_scan("rejects-bad-digits", [
+        _rejects(radix.InvalidDigitError, "add_two('13')", radix.add_two, "13")]))
     return out
 
 
@@ -477,6 +478,16 @@ def _step_fault(n: int, s: str, coord: grid.GridCoord, count: str,
     return ""
 
 
+def _window_fault(what: str, got: list[list[str]], want: grid.GridWindow) -> str:
+    """"" if got holds the cells of the window `want`, else the first cell where they differ."""
+    for i, (a, b) in enumerate(itertools.zip_longest(got, want.cells, fillvalue=())):
+        for j, (x, y) in enumerate(itertools.zip_longest(a, b)):
+            if x != y:
+                return (f"{what} differs from the {want.rows} x {want.cols} window "
+                        f"first in row {i}, column {j}: {x!r}, not {y!r}")
+    return ""
+
+
 def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out = []
 
@@ -484,18 +495,19 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
     out.append(_scan("cells-partition-into-halfzs",
                      (_halfz_fault(i, j) for i in range(30) for j in range(64))))
 
-    # a 3r x 2c block of halfZs collapses onto the 2r x c top-left window
-    win = grid.window(30, 64)
-    once = fractal.zoom_out(win.cells)
-    ok1 = [list(r) for r in grid.window(20, 32).cells] == once
-    big = grid.window(90, 128)
-    twice = fractal.zoom_out(fractal.zoom_out(big.cells))
-    ok2 = [list(r) for r in grid.window(40, 32).cells] == twice
-    out.append(_result("zoom-out-fixed-point", ok1 and ok2, 30 * 64 + 90 * 128))
+    # a 3r x 2c block of halfZs collapses onto the 2r x c top-left window;
+    # each window zoomed counts its cells
+    def fixed_points():
+        once = fractal.zoom_out(grid.window(30, 64).cells)
+        yield 30 * 64, _window_fault("zoom_out of the 30 x 64 window", once, grid.window(20, 32))
+        twice = fractal.zoom_out(fractal.zoom_out(grid.window(90, 128).cells))
+        yield 90 * 128, _window_fault("zoom_out twice of the 90 x 128 window", twice,
+                                      grid.window(40, 32))
+    out.append(_scan_blocks("zoom-out-fixed-point", fixed_points()))
 
-    bad_shape = [["0", "1"], ["2", "20"]]
-    out.append(_result("zoom-rejects-bad-shapes",
-                       _raises(fractal.WindowShapeError, fractal.zoom_out, bad_shape), 1))
+    out.append(_scan("zoom-rejects-bad-shapes", [
+        _rejects(fractal.WindowShapeError, "zoom_out of a 2 x 2 window", fractal.zoom_out,
+                 [["0", "1"], ["2", "20"]])]))
 
     def prefix_lengths():
         for m in range(0, 4):
@@ -591,8 +603,7 @@ def suite_witness(max_value: int) -> list[CheckResult]:
         for w in _strings(6) if fractal.locate(w).row >= 2)))
 
     out.append(_scan("rejects-impossible-targets", (
-        "" if _raises(witness.NotApplicableError, witness.witness, w, j)
-        else f"witness({w}, {j}) raised no NotApplicableError"
+        _rejects(witness.NotApplicableError, f"witness({w}, {j})", witness.witness, w, j)
         for w, j in (("1", 0), ("2", 1), ("0", 0)))))
 
     out.append(_witness_steps())
@@ -647,9 +658,14 @@ def _bfile_fault(sid: str) -> str:
 
 def suite_refdata() -> list[CheckResult]:
     out = [_scan("bundled-bfiles-load", map(_bfile_fault, refdata.bundled_ids()))]
-    parsed_ok = refdata.parse_bfile("# comment\n\n0 5\n1 7\n") == ((0, 5), (1, 7))
-    rejects = _raises(refdata.BFileFormatError, refdata.parse_bfile, "0 1 2\n")
-    out.append(_result("bfile-parser", parsed_ok and rejects, 2))
+
+    def parser_cases():
+        got = refdata.parse_bfile("# comment\n\n0 5\n1 7\n")
+        yield ("" if got == ((0, 5), (1, 7))
+               else f"a b-file with a comment and a blank line parses as {got}, not ((0, 5), (1, 7))")
+        bad = "0 1 2\n"
+        yield _rejects(refdata.BFileFormatError, f"parse_bfile({bad!r})", refdata.parse_bfile, bad)
+    out.append(_scan("bfile-parser", parser_cases()))
     return out
 
 

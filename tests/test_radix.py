@@ -104,12 +104,14 @@ def test_add_two_exhaustive_short():
 
 
 def test_add_two_rejects_bad_input():
-    with pytest.raises(InvalidDigitError):
-        add_two("13")
-    with pytest.raises(InvalidDigitError):
-        add_two("012")
-    with pytest.raises(InvalidDigitError):
-        add_two("")
+    for w, message in [("", "empty digit string"),
+                       ("13", "digit '3' not valid in base 3/2"),
+                       ("1a1", "digit 'a' not valid in base 3/2"),
+                       ("012", "'012' has a leading zero"),
+                       ("01", "'01' has a leading zero")]:
+        with pytest.raises(InvalidDigitError) as err:
+            add_two(w)
+        assert type(err.value) is InvalidDigitError and str(err.value) == message
 
 
 def test_evaluate_rejects_digits_at_or_above_p():
@@ -179,3 +181,56 @@ def test_decimal_conversion_keeps_short_numbers_as_int_and_str_do():
         from_decimal("12x")
     with pytest.raises(ValueError):
         from_decimal("1" * 4000 + "x")
+
+
+# each base with the k digits of its block: the largest k with p^k <= 1024
+BLOCK_BASES = [(BASE_3_2, 6), (BASE_3, 6), (RationalBase(5, 3), 4), (RationalBase(2), 10),
+               (RationalBase(10), 3)]
+
+
+def one_digit_steps(n, base, k):
+    """The digits that k one-digit steps emit from n, least significant first, and what is left."""
+    digits = []
+    for _ in range(k):
+        r = n % base.p
+        digits.append(str(r))
+        n = base.q * (n - r) // base.p
+    return digits, n
+
+
+def represent_by_digits(n, base):
+    """The one-digit conversion loop, kept as represent's reference."""
+    out = []
+    while n:
+        digits, n = one_digit_steps(n, base, 1)
+        out += digits
+    return "".join(reversed(out)) or "0"
+
+
+@pytest.mark.parametrize("base,k", BLOCK_BASES, ids=[str(b) for b, _ in BLOCK_BASES])
+def test_block_table_entries_are_k_one_digit_steps(base, k):
+    pk, qk, table = base.blocks
+    assert (pk, qk, len(table)) == (base.p**k, base.q**k, base.p**k)
+    for r, entry in enumerate(table):
+        digits, left = one_digit_steps(r, base, k)
+        assert entry == ("".join(reversed(digits)), left)
+        assert left < qk
+
+
+# about 2,000 decimal digits each
+HUGE = [10**1999 + 12345, 2**6643 - 1, 3**4190 + 5**1000]
+
+
+@pytest.mark.parametrize("base,k", BLOCK_BASES, ids=[str(b) for b, _ in BLOCK_BASES])
+def test_represent_matches_the_one_digit_loop(base, k):
+    assert all(represent(n, base) == represent_by_digits(n, base) for n in range(3**9))
+    edges = [base.p**k - 1, base.p**k, base.p**k + 1]
+    for n in edges + HUGE:
+        assert represent(n, base) == represent_by_digits(n, base)
+
+
+def test_block_table_is_not_part_of_the_base_value():
+    built, fresh = RationalBase(3, 2), RationalBase(3, 2)
+    assert built.blocks is built.blocks                      # built once
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == "RationalBase(p=3, q=2)"

@@ -125,6 +125,8 @@ MUTANTS = [
     ("radix", radix, "represent", wrong_on((5,), "21"), "base32-prefix-vs-A024629", 13),
     # "000" pads the first numeral, "0"
     ("radix", radix, "evaluate", wrong_on(("000",), Fraction(1)), "leading-zeros-are-neutral", 1),
+    # "13" holds a 3, which base 3/2 has no digit for
+    ("radix", radix, "add_two", wrong_on(("13",), "10"), "rejects-bad-digits", 1),
     # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
     # so with 25 sieved into it its second pair ends an AP
     ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
@@ -161,6 +163,11 @@ MUTANTS = [
     # column 0 of row 5 is "2101", worth 64; rows 0-4 come first
     ("fractal", fractal, "row_values_below", wrong_on((5, 65), [60, 64]),
      "column-0-minimal-and-increasing", 6),
+    # rows 1 and 2 of the zoomed 30 x 64 window trade places; it is the first of two windows
+    ("fractal", fractal, "zoom_out", swapping(1, 2), "zoom-out-fixed-point", 30 * 64),
+    # a 2 x 2 window is not 3r x 2c
+    ("fractal", fractal, "zoom_out", wrong_on(([["0", "1"], ["2", "20"]],), [["0"]]),
+     "zoom-rejects-bad-shapes", 1),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
      "decompose-reassembles", 5),
@@ -173,6 +180,8 @@ MUTANTS = [
     ("refdata", refdata, "bundled",
      wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
      "bundled-bfiles-load", 2),
+    # a line of three fields is the second of the parser's two cases
+    ("refdata", refdata, "parse_bfile", wrong_on(("0 1 2\n",), ((0, 1),)), "bfile-parser", 2),
     ("theorem1", grid, "cell", wrong_on((5, 0), "0"), "first-terms-read-down-column-0", 6),
     ("theorem2", fractal, "row_values_below", wrong_on((4, 2187), []),
      "rows-equal-grid-value-sets", 5),
@@ -206,7 +215,14 @@ DETAILS = {
                             "not ['2', '20', '12', '200', '102', '120']",
     "decrement-drops-at-most-one-row": "3 (10) sits in row 3, 2 in row 1",
     "column-0-minimal-and-increasing": "row 5 holds [60, 64] up to its column-0 64",
-    "rejects-impossible-targets": "witness(1, 0) raised no NotApplicableError",
+    "rejects-impossible-targets": f"witness(1, 0) returned {witness.witness('2', 0)!r} "
+                                  "and raised no NotApplicableError",
+    "rejects-bad-digits": "add_two('13') returned '10' and raised no InvalidDigitError",
+    "zoom-out-fixed-point": "zoom_out of the 30 x 64 window differs from the 20 x 32 window "
+                            "first in row 1, column 0: '21', not '2'",
+    "zoom-rejects-bad-shapes": "zoom_out of a 2 x 2 window returned [['0']] "
+                               "and raised no WindowShapeError",
+    "bfile-parser": "parse_bfile('0 1 2\\n') returned ((0, 1),) and raised no BFileFormatError",
 }
 
 
