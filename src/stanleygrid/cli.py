@@ -90,7 +90,9 @@ def cmd_verify(args) -> int:
     if args.timings:
         for r in report.results:
             print(f"check {r.name} took {r.duration_s:.3f}s", file=sys.stderr)
-        print(f"suite {report.suite} took {report.duration_s:.2f}s", file=sys.stderr)
+        n = report.processes
+        print(f"suite {report.suite} took {report.duration_s:.2f}s in {n} process{'es' * (n > 1)}",
+              file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

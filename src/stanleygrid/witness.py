@@ -30,11 +30,19 @@ class NotApplicableError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """The construction produced an invalid pair; carries the trace."""
+    """The construction produced an invalid pair; carries the trace.
+
+    Its args are (msg, trace), so pickling rebuilds it, message and trace
+    intact, when it crosses from a verify worker process.
+    """
 
     def __init__(self, msg: str, trace: list[str]):
-        super().__init__(f"{msg} (trace: {' > '.join(trace)})")
-        self.trace = list(trace)
+        super().__init__(msg, list(trace))
+        self.trace = self.args[1]
+
+    def __str__(self) -> str:
+        msg, trace = self.args
+        return f"{msg} (trace: {' > '.join(trace)})"
 
 
 # trace vocabulary, one tag per construction step

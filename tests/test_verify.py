@@ -4,7 +4,12 @@ import bisect
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,15 +57,19 @@ suite all: PASS (36/36 checks)
 """
 
 
+SMALL = ["--max-value", "2187", "--max-rows", "20"]
+
+
 def test_small_bound_report_is_pinned(capsys):
-    code = cli.main(["verify", "--suite", "all", "--max-value", "2187", "--max-rows", "20"])
+    code = cli.main(["verify", "--suite", "all", *SMALL])
     assert code == 0
     assert capsys.readouterr().out == SMALL_REPORT
+    # a passing run leaves no worker behind
+    assert not multiprocessing.active_children()
 
 
 def test_timings_give_one_stderr_line_per_check(capsys):
-    code = cli.main(["verify", "--suite", "all", "--max-value", "2187", "--max-rows", "20",
-                     "--timings"])
+    code = cli.main(["verify", "--suite", "all", *SMALL, "--timings"])
     out, err = capsys.readouterr()
     assert code == 0 and out == SMALL_REPORT
     checks = [ln.split()[1] for ln in out.splitlines()[:-1]]
@@ -69,10 +78,15 @@ def test_timings_give_one_stderr_line_per_check(capsys):
     times = [re.fullmatch(rf"check {re.escape(name)} took (\d+\.\d{{3}})s", ln)
              for name, ln in zip(checks, lines)]
     assert all(times), lines
-    total = re.fullmatch(r"suite all took (\d+\.\d{2})s", lines[-1])
-    assert total
-    # work shared by several checks is charged to the first of them, so the lines add up
-    assert abs(sum(float(m[1]) for m in times) - float(total[1])) < 0.05
+    total = re.fullmatch(r"suite all took (\d+\.\d{2})s in (\d+) process(es)?", lines[-1])
+    assert total and (total[3] is None) == (total[2] == "1")
+    # Work shared by checks of a suite is charged to the first of them, so each
+    # suite's checks add up to its time.  The suites run side by side in n
+    # processes, so the checks add up to between the wall total (less the cost
+    # of starting the workers) and n times it; 0.02 s covers the rounding of
+    # the printed figures.
+    wall, n, spent = float(total[1]), int(total[2]), sum(float(m[1]) for m in times)
+    assert n * wall + 0.02 >= spent >= wall - 0.05
 
 
 def wrong_on(args, value):
@@ -232,6 +246,67 @@ def test_a_passing_json_report_has_no_details(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"]
     assert [c["detail"] for c in doc["checks"]] == [""] * 36
+
+
+@pytest.mark.parametrize("row", [m for m in MUTANTS if m[4] in (
+    "first-terms-read-down-column-0", "decompose-reassembles")], ids=lambda m: m[0])
+def test_mutants_reach_the_worker_processes(monkeypatch, row):
+    suite, module, fn, mutant, check, checked = row
+    monkeypatch.setattr(module, fn, mutant(getattr(module, fn)))
+    together = verify.run_suite("all", max_value=2187, max_rows=20)
+    # one worker per CPU, and a run that reports a failing check leaves none behind
+    assert together.processes == min(len(os.sched_getaffinity(0)), len(verify._RUNNERS))
+    assert not multiprocessing.active_children()
+    alone = [r for s in verify.SUITES[:-1]
+             for r in verify.run_suite(s, max_value=2187, max_rows=20).results]
+    assert together.results == alone
+    failed = {r.name: r for r in together.results if not r.passed}
+    assert failed[check].checked == checked
+
+
+EXCEPTIONS = [
+    witness.ConstructionError("boom", ["keep-0"]),
+    witness.NotApplicableError("x lies in row 0"),
+    greedy.InsufficientRangeError("bound 10 too small", required_bound=27),
+    verify.CapExceededError("--max-value is 10, beyond cap 5"),
+    grid.MalformedStringError("'013' is not canonical"),
+    radix.InvalidDigitError("digit 3 in '13'"),
+    fractal.WindowShapeError("2 x 2 is not 3r x 2c"),
+    refdata.BFileFormatError("line 1: '0 1 2'"),
+]
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: type(e).__name__)
+def test_exceptions_cross_a_process_boundary(exc):
+    got = pickle.loads(pickle.dumps(exc))
+    assert type(got) is type(exc)
+    assert (str(got), vars(got)) == (str(exc), vars(exc))
+
+
+def test_a_construction_error_in_a_worker_exits_as_in_one_process(monkeypatch, capsys):
+    def broken(max_value):
+        raise witness.ConstructionError("boom", ["keep-0"])
+    monkeypatch.setattr(verify, "suite_witness", broken)
+    outcomes = []
+    for suite in ("witness", "all"):
+        code = cli.main(["verify", "--suite", suite, *SMALL])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [(cli.EXIT_VERIFY_FAILED, "error: boom (trace: keep-0)\n")] * 2
+    # a run in which a suite raises leaves no worker behind
+    with pytest.raises(witness.ConstructionError):
+        verify.run_suite("all", max_value=2187, max_rows=20)
+    assert not multiprocessing.active_children()
+
+
+def test_output_buffered_before_the_workers_start_is_written_once():
+    # stdout is a pipe, so the marker waits in the buffer when the workers fork
+    script = ("import sys; from stanleygrid import cli; print('marker'); "
+              "sys.exit(cli.main(['verify', '--suite', 'all', *sys.argv[1:]]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    run = subprocess.run([sys.executable, "-c", script, *SMALL], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "marker\n" + SMALL_REPORT
 
 
 def test_a_swapped_traversal_names_the_first_entry_out_of_order(monkeypatch):
