@@ -9,7 +9,8 @@ each halfZ by its prefix cell is therefore a zoom-out map under which the
 grid is a fixed point, and iterating it nests the halfZs into arbitrarily
 deep levels.  The block arithmetic behind both directions of that map is
 owned by grid (_coord_of steps down, _zoom steps up); descend and
-zoom_coord here are one-line uses of it.
+zoom_coord here are one-line uses of it, and _row_values reads which rows
+feed a row from _zoom.
 
 Reading the grid along that nesting enumerates the canonical ternary
 strings in counting order, one digit of (n)_3 per nesting level.  locate()
@@ -168,16 +169,15 @@ _Memo = dict[tuple[int, int], tuple[int, ...]]
 def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
     """Sorted base-3 values of the length-`length` strings in grid row `row`.
 
-    Stripping the last digit maps row 3a into row 2a (digits 0/1), row
-    3a+1 into row 2a (digit 2) or 2a+1 (digit 0), and row 3a+2 into row
-    2a+1 (digits 1/2); running that recursion forward builds the value
-    sets without touching any cell.
+    A string without its last digit d sits at its cell's prefix, which
+    grid._zoom gives; only the column's parity moves the prefix row, so
+    _zoom(row, 0) and _zoom(row, 1) are the two (prefix row, d) feeds of
+    row `row`.  Running them forward builds the value sets without touching
+    any cell; the length-1 strings are the digits fed from the origin's row 0.
 
-    Row 3a+1 draws on two rows one digit shorter, so without a memo the
-    recursion would branch at every level; the caller's memo lives as long
-    as that call.  A shorter string extends only if it is not "0" (that
-    would create a leading zero), the one string worth 0, hence the `if v`
-    filters.
+    Two feeds would branch at every level without a memo; the caller's memo
+    lives as long as that call.  A shorter string extends only if it is not
+    "0" (that would create a leading zero), hence the `if v` filter.
     """
     if row < 0 or length < 1:
         return ()
@@ -185,20 +185,12 @@ def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
     got = memo.get(key)
     if got is not None:
         return got
+    feeds = _zoom(row, 0), _zoom(row, 1)
     if length == 1:
-        vals = (0, 1) if row == 0 else ((2,) if row == 1 else ())
+        vals = tuple(d for p, _, d in feeds if p == 0)
     else:
-        a, r = divmod(row, 3)
-        if r == 0:
-            base = _row_values(2 * a, length - 1, memo)
-            vals = tuple(sorted(3 * v + d for v in base if v for d in (0, 1)))
-        elif r == 1:
-            hi = _row_values(2 * a, length - 1, memo)
-            lo = _row_values(2 * a + 1, length - 1, memo)
-            vals = tuple(sorted([3 * v + 2 for v in hi if v] + [3 * v for v in lo if v]))
-        else:
-            base = _row_values(2 * a + 1, length - 1, memo)
-            vals = tuple(sorted(3 * v + d for v in base if v for d in (1, 2)))
+        vals = tuple(sorted([3 * v + d for p, _, d in feeds
+                             for v in _row_values(p, length - 1, memo) if v]))
     memo[key] = vals
     return vals
 

@@ -11,11 +11,11 @@ zooming a cell out to the origin reads its digits back.  Since zooming
 out maps the grid onto itself, K digits pick one cell of a 3^K x 2^K
 block, so both directions go K levels per step through two small tables,
 _DOWN and _UP, built at import from the one-digit rules.  This module owns
-that block numbering (the one-digit step in _coord_of and _zoom are its
-only definition; fractal only calls them).  Both directions take time
-linear in the string length and keep no state, so the grid is the plain
-functions cell, row_of and window; the add-2 column rule is not used here
-and stays an independent check.
+that block numbering: the one-digit steps in _coord_of and _zoom are its
+only definition, and fractal's halfZs and row values only call them.
+Both directions take time linear in the string length and keep no state,
+so the grid is the plain functions cell, row_of and window; the add-2
+column rule is not used here and stays an independent check.
 """
 
 from __future__ import annotations

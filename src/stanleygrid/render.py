@@ -8,6 +8,8 @@ segments.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .fractal import descend
 from .grid import GridCoord, cell
 
@@ -50,10 +52,24 @@ def _segment_points(coord: GridCoord, level: int) -> list[tuple[float, float]]:
     return [_center(descend(coord, d), level - 1) for d in range(3)]
 
 
-def render_svg(levels: int, rows: int, cols: int) -> str:
-    """SVG drawing: one dot per cell, polylines for levels 0 .. levels-1."""
+def _check_size(levels: int, rows: int, cols: int) -> None:
     if levels < 1 or rows < 1 or cols < 1:
         raise ValueError("levels, rows and cols must all be >= 1")
+
+
+def _drawn(levels: int, rows: int, cols: int) -> Iterator[tuple[int, list[tuple[float, float]]]]:
+    """(m, its segments' three points) for each level-m halfZ inside the window, m < levels."""
+    for m in range(levels):
+        coords = _enumerate_halfzs(m, rows, cols)
+        if not coords:
+            return
+        for coord in coords:
+            yield m, _segment_points(coord, m)
+
+
+def render_svg(levels: int, rows: int, cols: int) -> str:
+    """SVG drawing: one dot per cell, polylines for levels 0 .. levels-1."""
+    _check_size(levels, rows, cols)
     step, margin = 36, 24
     width = margin * 2 + (cols - 1) * step
     height = margin * 2 + (rows - 1) * step
@@ -66,19 +82,14 @@ def render_svg(levels: int, rows: int, cols: int) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for m in range(levels):
+    for m, pts in _drawn(levels, rows, cols):
         color = LEVEL_COLORS[m % len(LEVEL_COLORS)]
         stroke = 1.2 + 0.7 * m
-        coords = _enumerate_halfzs(m, rows, cols)
-        if not coords:
-            break
-        for coord in coords:
-            pts = [xy(r, c) for r, c in _segment_points(coord, m)]
-            path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{path}" fill="none" stroke="{color}" '
-                f'stroke-width="{stroke:.1f}" stroke-linecap="round"/>'
-            )
+        path = " ".join("{:.2f},{:.2f}".format(*xy(r, c)) for r, c in pts)
+        parts.append(
+            f'<polyline points="{path}" fill="none" stroke="{color}" '
+            f'stroke-width="{stroke:.1f}" stroke-linecap="round"/>'
+        )
     for i in range(rows):
         for j in range(cols):
             x, y = xy(i, j)
@@ -90,8 +101,7 @@ def render_svg(levels: int, rows: int, cols: int) -> str:
 
 def render_ascii(levels: int, rows: int, cols: int) -> str:
     """Character rendering: 'o' per cell, '-'/'/'/'\\' for level 0, digits above."""
-    if levels < 1 or rows < 1 or cols < 1:
-        raise ValueError("levels, rows and cols must all be >= 1")
+    _check_size(levels, rows, cols)
     H, W = (rows - 1) * 2 + 1, (cols - 1) * 4 + 1
     canvas = [[" "] * W for _ in range(H)]
 
@@ -116,15 +126,10 @@ def render_ascii(levels: int, rows: int, cols: int) -> str:
         for t in range(1, n):
             plot(round(y1 + (y2 - y1) * t / n), round(x1 + (x2 - x1) * t / n), ch)
 
-    for m in range(levels):
+    for m, pts in _drawn(levels, rows, cols):
         ch = None if m == 0 else str(m)
-        coords = _enumerate_halfzs(m, rows, cols)
-        if not coords:
-            break
-        for coord in coords:
-            pts = _segment_points(coord, m)
-            line(*pts[0], *pts[1], ch)
-            line(*pts[1], *pts[2], ch)
+        line(*pts[0], *pts[1], ch)
+        line(*pts[1], *pts[2], ch)
     for i in range(rows):
         for j in range(cols):
             canvas[2 * i][4 * j] = "o"

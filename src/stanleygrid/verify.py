@@ -3,10 +3,10 @@
 Each suite re-checks one slice of the package against independent
 computations: digit algebra against exact Fraction arithmetic, the sieve
 against the grid, the grid against the fractal decomposition, witness
-construction against a brute-force oracle and its step table against the
-digit rules.  Reports carry no timestamps or timings, so repeated runs are
-byte-identical; wall-clock durations are kept separately on the report and
-on each check for callers that want them.
+construction against the grid's and the sieve's rows and its step table
+against the digit rules.  Reports carry no timestamps or timings, so
+repeated runs are byte-identical; wall-clock durations are kept separately
+on the report and on each check for callers that want them.
 
 The radix and greedy checks with millions of cases keep one call per case
 to the code under test (`add_two`, `represent`) and take the sieve's rows
@@ -348,10 +348,11 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
     limit = min(3**9, max_value)
     part = greedy.build_partition(limit)
 
+    held = {n: j for j, terms in enumerate(part.rows) for n in terms}
+    stray = next((n for n in range(limit) if held.get(n) != part.row_index(n)), None)
     total = sum(len(r) for r in part.rows)
-    stray = [n for n in range(0, limit, 211) if n not in part.rows[part.row_index(n)]]
-    fault = (f"rows hold {total} values, not {limit}" if total != limit
-             else f"{stray[0]} is missing from its row" if stray else "")
+    fault = (f"{stray} is missing from row {part.row_index(stray)}, its row" if stray is not None
+             else f"rows hold {total} values, not {limit}" if total != limit else "")
     out.append(_result("rows-partition-the-range", not fault, limit, fault))
 
     out += _row_checks(part)
@@ -372,7 +373,7 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
                          "the single-2 set", single2, limit))
 
     refx = [v for v in refdata.bundled("A265316").values if v < limit]
-    got = greedy.cross_sequence(part, len(refx))
+    got = greedy.cross_sequence(part, min(len(refx), part.num_rows))
     out.append(_terms_vs("cross-prefix-vs-A265316", "cross term", got, "A265316", refx,
                          len(refx)))
     return out
@@ -526,7 +527,7 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
         for m in range(0, 4):
             for i in range(9, 27):
                 for j in range(8, 16):
-                    lcp = fractal.halfz_of(i, j, level=m).lcp
+                    lcp = fractal.halfz_of(i, j, m).lcp
                     w = grid.cell(i, j)
                     wrong = lcp != "0" and len(w) - len(lcp) != m + 1
                     yield f"level-{m} prefix of ({i},{j}): {lcp} vs {w}" if wrong else ""
@@ -586,19 +587,18 @@ def suite_witness(max_value: int) -> list[CheckResult]:
              else f"a, b sit in rows {rows}, not 1" if rows != (1, 1) else "")
     out.append(_result("26-digit-example", not fault, 1, fault))
 
-    def exclusion_fault(w: str, j: int) -> str:
+    # w = (n)_3; an AP c < d < n in sieve row j is what witness_oracle would find
+    def exclusion_fault(w: str, n: int, j: int) -> str:
         p, tr = witness.witness(w, j)
-        c3, d3, v3 = p.values
-        if d3 - c3 != v3 - d3 or not (c3 < d3 <= v3):
+        c3, d3, _ = p.values
+        if d3 - c3 != n - d3 or c3 >= d3:
             return f"witness({w}, {j}) gave {p.c}, {p.d}"
         if grid.row_of(p.c) != j or grid.row_of(p.d) != j:
             return f"witness({w}, {j}): pair not in row {j}"
-        if c3 < limit and part.row_index(c3) != j:
+        if part.row_index(c3) != j:
             return f"witness({w}, {j}): {c3} not sieved into row {j}"
-        if d3 < limit and part.row_index(d3) != j:
+        if part.row_index(d3) != j:
             return f"witness({w}, {j}): {d3} not sieved into row {j}"
-        if witness.witness_oracle(w, j, part) is None:
-            return f"oracle found no pair for ({w}, {j})"
         if set(tr) - witness.TAGS:
             return f"unknown trace tag in {tr}"
         return ""
@@ -607,7 +607,7 @@ def suite_witness(max_value: int) -> list[CheckResult]:
         w = "0"
         for n in range(limit):
             for j in range(part.row_index(n)):
-                yield exclusion_fault(w, j)
+                yield exclusion_fault(w, n, j)
             w, _ = fractal.ternary_successor(w)
     out.append(_scan("all-exclusions-have-witnesses", exclusions()))
 
@@ -692,6 +692,8 @@ def suite_theorem1(max_rows: int) -> list[CheckResult]:
 
     def row_fault(i: int) -> str:
         s = grid.cell(i, 0)
+        if not part.row(i):
+            return f"row {i} never opened below {bound}"
         first = part.row(i)[0]
         if int(s, 3) != first:
             return f"row {i}: sieve starts {first}, column 0 reads {s}"
@@ -710,8 +712,8 @@ def suite_theorem2(max_value: int) -> list[CheckResult]:
         from_grid = fractal.row_values_below(i, bound)
         same = sieved == from_grid
         return "" if same else f"row {i}: sieve {sieved[:5]}..., grid {from_grid[:5]}..."
-    # these rows cover [0, bound), so no grid row is left
-    return [_scan("rows-equal-grid-value-sets", map(row_fault, range(part.num_rows)))]
+    # the sieve's rows cover [0, bound), so the grid leaves row num_rows empty below it
+    return [_scan("rows-equal-grid-value-sets", map(row_fault, range(part.num_rows + 1)))]
 
 
 # ---------------------------------------------------------------------------

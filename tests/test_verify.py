@@ -1,6 +1,7 @@
 """The verify report: every check's name, order and count, and what a failing check says."""
 
 import bisect
+import collections
 import dataclasses
 import itertools
 import json
@@ -52,7 +53,7 @@ ok   witness-steps-follow-the-digit-rules (checked 18)
 ok   bundled-bfiles-load (checked 4)
 ok   bfile-parser (checked 2)
 ok   first-terms-read-down-column-0 (checked 20)
-ok   rows-equal-grid-value-sets (checked 27)
+ok   rows-equal-grid-value-sets (checked 28)
 suite all: PASS (36/36 checks)
 """
 
@@ -125,119 +126,205 @@ def swapping(i, k):
     return lambda real: lambda *a: swap(real(*a))
 
 
+def opening(count):
+    """A mutant maker for build_partition: only rows 0..count-1 are kept, the
+    value -> row map is left as it was."""
+    def cut(part):
+        return greedy.GreedyPartition(part.bound, part.rows[:count], part._assignment)
+    return lambda real: lambda limit: cut(real(limit))
+
+
+def replacing(key, value):
+    """A mutant maker for a dict: `key` maps to `value`."""
+    return lambda real: {**real, key: value}
+
+
+def zoom_swapping_0_and_2(real):
+    """A mutant of the one-level zoom: rows 3a+1 read digit 0 as 2 and 2 as 0."""
+    def zoom(i, j):
+        p, q, d = real(i, j)
+        return p, q, 2 - d if i % 3 == 1 else d
+    return zoom
+
+
+SHORT_SIEVE = opening(3)
 X26 = "11102010220102110110011000"
 
 # (suite, module, function, its mutant maker, the check that must catch it,
-#  the number of cases that check runs up to and including the wrong one)
+#  the number of cases that check runs up to and including the wrong one, what it says)
 MUTANTS = [
     # "0", 2 one-digit and 6 two-digit strings come first; "122" is the 9th three-digit one
-    ("radix", radix, "add_two", wrong_on(("122",), "122"), "carry-rule-lengths<=7", 18),
+    ("radix", radix, "add_two", wrong_on(("122",), "122"), "carry-rule-lengths<=7", 18,
+     "add_two(122) = 122"),
     # 2187 cases per base; base 5/3 comes third
     ("radix", radix, "represent", wrong_on((100, radix.RationalBase(5, 3)), "1"),
-     "round-trip-three-bases", 2 * 2187 + 101),
+     "round-trip-three-bases", 2 * 2187 + 101, "100 in base 5/3 is 1"),
     # 5 is "22" in base 3/2; the reference check counts all 13 bundled terms
-    ("radix", radix, "represent", wrong_on((5,), "21"), "base32-prefix-vs-A024629", 13),
+    ("radix", radix, "represent", wrong_on((5,), "21"), "base32-prefix-vs-A024629", 13,
+     "the base-3/2 numeral of 5 is 21, A024629 has 22"),
     # "000" pads the first numeral, "0"
-    ("radix", radix, "evaluate", wrong_on(("000",), Fraction(1)), "leading-zeros-are-neutral", 1),
+    ("radix", radix, "evaluate", wrong_on(("000",), Fraction(1)), "leading-zeros-are-neutral", 1,
+     "000 != 0"),
     # "13" holds a 3, which base 3/2 has no digit for
-    ("radix", radix, "add_two", wrong_on(("13",), "10"), "rejects-bad-digits", 1),
+    ("radix", radix, "add_two", wrong_on(("13",), "10"), "rejects-bad-digits", 1,
+     "add_two('13') returned '10' and raised no InvalidDigitError"),
     # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
     # so with 25 sieved into it its second pair ends an AP
     ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
-     128 * 127 // 2 + 127 * 126 // 2 + 2),
+     128 * 127 // 2 + 127 * 126 // 2 + 2, "AP 7, 16, 25"),
     # 16 belongs to row 2; the values below it skip 10 rows in all
-    ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1),
-    # the rows hold 2186 values below 2187
-    ("greedy", greedy, "build_partition", dropping(2186), "rows-partition-the-range", 2187),
+    ("greedy", greedy, "build_partition", sieve_moving(16, 3), "skips-are-forced", 10 + 2 + 1,
+     "n=16 skipped row 2 without a witness"),
+    # 2186, the last value below 2187, belongs to row 26
+    ("greedy", greedy, "build_partition", dropping(2186), "rows-partition-the-range", 2187,
+     "2186 is missing from row 26, its row"),
     # 13 is 111 in base 3, the 8th term of row 0; 16 terms of each reference lie below 2187
-    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-prefix-vs-A005836", 16),
-    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-prefix-vs-A323398", 16),
-    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-is-the-no-2-set", 2187),
-    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-is-the-single-2-set", 2187),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-prefix-vs-A005836", 16,
+     "row 0 term 7 is 27, A005836 has 13"),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-prefix-vs-A323398", 16,
+     "row 1 term 4 is 13, A323398 has 14"),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row0-is-the-no-2-set", 2187,
+     "row 0 term 7 is 27, the no-2 set has 13"),
+    ("greedy", greedy, "build_partition", sieve_moving(13, 1), "row1-is-the-single-2-set", 2187,
+     "row 1 term 4 is 13, the single-2 set has 14"),
     # 7 opens row 2, which the cross sequence reads; 10 terms of A265316 lie below 2187
-    ("greedy", greedy, "build_partition", sieve_moving(7, 3), "cross-prefix-vs-A265316", 10),
+    ("greedy", greedy, "build_partition", sieve_moving(7, 3), "cross-prefix-vs-A265316", 10,
+     "cross term 2 is 8, A265316 has 7"),
+    # a sieve that opens rows 0-2 only: 21, the first term of row 3, is the first value
+    # its row does not hold, and the cross sequence ends early
+    ("greedy", greedy, "build_partition", SHORT_SIEVE, "rows-partition-the-range", 2187,
+     "21 is missing from row 3, its row"),
+    ("greedy", greedy, "build_partition", SHORT_SIEVE, "cross-prefix-vs-A265316", 10,
+     "cross term 3 is none, A265316 has 21"),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
-    ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193),
+    ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193,
+     "1+cell(3, 0) leaves row 3"),
     # row 0 starts "0", "1", "10": worth 0, 1, 2, its first pair ends an AP
-    ("grid", radix, "evaluate", wrong_on(("10",), 2), "rows-are-3free-by-value", 1),
+    ("grid", radix, "evaluate", wrong_on(("10",), 2), "rows-are-3free-by-value", 1,
+     "row 0: AP ending 2"),
     # "121" at cell (2, 4) is the 17th of the 24 corner cells
-    ("grid", grid, "cell", wrong_on((2, 4), "112"), "top-left-corner", 17),
+    ("grid", grid, "cell", wrong_on((2, 4), "112"), "top-left-corner", 17,
+     "cell(2, 4) is 112, not 121"),
     # cell (40, 60) lies only in the 46 x 64 window; "0" there repeats the origin's string
-    ("grid", grid, "cell", wrong_on((40, 60), "0"), "strings-upto-len6-unique", 729),
+    ("grid", grid, "cell", wrong_on((40, 60), "0"), "strings-upto-len6-unique", 729,
+     "0 sits at [(0, 0), (40, 60)], locate says (0, 0)"),
     # "202" is cell (2, 3), after the 2 x 32 cells of rows 0 and 1
-    ("grid", grid, "main_suffix", wrong_on(("202",), "20"), "main-suffix-determines-the-row", 68),
+    ("grid", grid, "main_suffix", wrong_on(("202",), "20"), "main-suffix-determines-the-row", 68,
+     "main suffix '20' of cell(2, 3) is not in row 2"),
     # cell (1, 4) is "102", in the window's CSV row 1; the JSON row 3 comes second
-    ("grid", grid, "cell", wrong_on((1, 4), "1020"), "window-serialization", 2),
+    ("grid", grid, "cell", wrong_on((1, 4), "1020"), "window-serialization", 2,
+     "CSV row 1 parses as ['2', '20', '12', '200', '1020', '120'], "
+     "not ['2', '20', '12', '200', '102', '120']"),
+    # each column is its top and 29 cells below; cell (10, 20) is the 11th case of column 20
+    ("grid", grid, "cell", wrong_on((10, 20), "0"), "columns-follow-add-two", 20 * 30 + 11,
+     "cell(10, 20) is 0, not 220002"),
     # "1210" is 48 in base 3, entry 48 of the walk
     ("fractal", fractal, "locate", wrong_on(("1210",), grid.GridCoord(0, 0)),
-     "traversal-counts-in-ternary", 49),
+     "traversal-counts-in-ternary", 49,
+     "entry 48: locate(1210) != walk coordinate GridCoord(row=3, col=8)"),
     # "10" is 3 in base 3; "2", worth 2, sits in row 1
     ("fractal", fractal, "locate", wrong_on(("10",), grid.GridCoord(3, 0)),
-     "decrement-drops-at-most-one-row", 3),
+     "decrement-drops-at-most-one-row", 3, "3 (10) sits in row 3, 2 in row 1"),
     # column 0 of row 5 is "2101", worth 64; rows 0-4 come first
     ("fractal", fractal, "row_values_below", wrong_on((5, 65), [60, 64]),
-     "column-0-minimal-and-increasing", 6),
+     "column-0-minimal-and-increasing", 6, "row 5 holds [60, 64] up to its column-0 64"),
     # rows 1 and 2 of the zoomed 30 x 64 window trade places; it is the first of two windows
-    ("fractal", fractal, "zoom_out", swapping(1, 2), "zoom-out-fixed-point", 30 * 64),
+    ("fractal", fractal, "zoom_out", swapping(1, 2), "zoom-out-fixed-point", 30 * 64,
+     "zoom_out of the 30 x 64 window differs from the 20 x 32 window "
+     "first in row 1, column 0: '21', not '2'"),
     # a 2 x 2 window is not 3r x 2c
     ("fractal", fractal, "zoom_out", wrong_on(([["0", "1"], ["2", "20"]],), [["0"]]),
-     "zoom-rejects-bad-shapes", 1),
+     "zoom-rejects-bad-shapes", 1,
+     "zoom_out of a 2 x 2 window returned [['0']] and raised no WindowShapeError"),
+    # cell (4, 5) is in the lower halfZ anchored at (1, 2), cell (4, 4) in the upper one;
+    # rows 0-3 give 4 * 64 cases before it
+    ("fractal", fractal, "halfz_of", wrong_on((4, 5), fractal.halfz_of(4, 4)),
+     "cells-partition-into-halfzs", 4 * 64 + 6, "cell (4,5) missing from its own halfZ"),
+    # a level-2 halfZ for level 1: level 0 runs 18 x 8 cases, then (9, 8) at level 1
+    ("fractal", fractal, "halfz_of", wrong_on((9, 8, 1), fractal.halfz_of(9, 8, 2)),
+     "prefix-loses-one-digit-per-level", 18 * 8 + 1, "level-1 prefix of (9,8): 22 vs 22200"),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
-     "decompose-reassembles", 5),
+     "decompose-reassembles", 5, "decompose(201) = ('2', '0', '0')"),
     # witness() does not split x, so only the 26-digit example's parse goes wrong
-    ("witness", witness, "decompose", wrong_on((X26,), (X26, "", "")), "26-digit-example", 1),
+    ("witness", witness, "decompose", wrong_on((X26,), (X26, "", "")), "26-digit-example", 1,
+     f"decompose gave {(X26, '', '')}"),
     # "1" sits in row 0, the first impossible target tried
     ("witness", witness, "witness", wrong_on(("1", 0), witness.witness("2", 0)),
-     "rejects-impossible-targets", 1),
+     "rejects-impossible-targets", 1,
+     f"witness(1, 0) returned {witness.witness('2', 0)!r} and raised no NotApplicableError"),
+    # 0, 4 ("11") and 8 ("22") are an AP, but in row 0; 2, 5, 6 sit in row 1 and 7, 8 in
+    # row 2, so (22, 1) is the 7th exclusion
+    ("witness", witness, "witness",
+     wrong_on(("22", 1), (witness.WitnessPair("22", 1, "0", "11"), [witness.TAG_DEGENERATE])),
+     "all-exclusions-have-witnesses", 7, "witness(22, 1): pair not in row 1"),
+    # (standard, 2, "0") is the 7th step; a peculiar step is allowed there, but is not the
+    # smallest step allowed
+    ("witness", witness, "_STEPS",
+     replacing((witness._STANDARD, 2, "0"),
+               (witness.TAG_PECULIAR, witness._STANDARD, 1, "1", "2")),
+     "witness-steps-follow-the-digit-rules", 7,
+     "step ('standard', 2, '0') -> ('peculiar', 'standard', 1, '1', '2') "
+     "is not the smallest allowed (0, 0, 1, 2, 1)"),
     # A024629 is the second bundled sequence; its b-file starts at index 0
     ("refdata", refdata, "bundled",
      wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
-     "bundled-bfiles-load", 2),
+     "bundled-bfiles-load", 2, "A024629: empty or not starting at offset 1"),
     # a line of three fields is the second of the parser's two cases
-    ("refdata", refdata, "parse_bfile", wrong_on(("0 1 2\n",), ((0, 1),)), "bfile-parser", 2),
-    ("theorem1", grid, "cell", wrong_on((5, 0), "0"), "first-terms-read-down-column-0", 6),
+    ("refdata", refdata, "parse_bfile", wrong_on(("0 1 2\n",), ((0, 1),)), "bfile-parser", 2,
+     "parse_bfile('0 1 2\\n') returned ((0, 1),) and raised no BFileFormatError"),
+    ("theorem1", grid, "cell", wrong_on((5, 0), "0"), "first-terms-read-down-column-0", 6,
+     "row 5: sieve starts 64, column 0 reads 0"),
+    ("theorem1", greedy, "build_partition", SHORT_SIEVE, "first-terms-read-down-column-0", 4,
+     "row 3 never opened below 1740"),
     ("theorem2", fractal, "row_values_below", wrong_on((4, 2187), []),
-     "rows-equal-grid-value-sets", 5),
+     "rows-equal-grid-value-sets", 5, "row 4: sieve [23, 26, 50, 53, 59]..., grid []..."),
+    # the grid must leave row 3 empty below the bound, where the sieve opened no row 3
+    ("theorem2", greedy, "build_partition", SHORT_SIEVE, "rows-equal-grid-value-sets", 4,
+     "row 3: sieve []..., grid [21, 22, 24, 25, 48]..."),
+    # row 1 then holds "0", worth 0, fed from row 0
+    ("theorem2", fractal, "_zoom", zoom_swapping_0_and_2, "rows-equal-grid-value-sets", 2,
+     "row 1: sieve [2, 5, 6, 11, 14]..., grid [0, 3, 9, 11, 12]..."),
 ]
 
 
-@pytest.mark.parametrize("suite,module,fn,mutant,check,checked", MUTANTS,
-                         # a suite's later mutants add the check they trip to its name
-                         ids=[m[0] if m[0] not in {e[0] for e in MUTANTS[:i]} else f"{m[0]}-{m[4]}"
-                              for i, m in enumerate(MUTANTS)])
-def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, check, checked):
+def _mutant_ids():
+    """A suite's first mutant is named for the suite, its later ones add the check they
+    trip, and a check's later mutants add their number."""
+    seen = collections.Counter()
+    ids = []
+    for i, m in enumerate(MUTANTS):
+        name = m[0] if m[0] not in {e[0] for e in MUTANTS[:i]} else f"{m[0]}-{m[4]}"
+        seen[name] += 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("suite,module,fn,mutant,check,checked,detail", MUTANTS,
+                         ids=_mutant_ids())
+def test_failures_name_a_counterexample(monkeypatch, suite, module, fn, mutant, check, checked,
+                                        detail):
     monkeypatch.setattr(module, fn, mutant(getattr(module, fn)))
     report = verify.run_suite(suite, max_value=2187, max_rows=20)
     failed = {r.name: r for r in report.results if not r.passed}
     assert check in failed
     assert all(r.detail for r in failed.values()), failed
-    assert failed[check].checked == checked
-    assert failed[check].detail == DETAILS.get(check, failed[check].detail)
+    assert (failed[check].checked, failed[check].detail) == (checked, detail)
 
 
-# what the checks whose detail names the first mismatch say under their MUTANTS row
-DETAILS = {
-    "base32-prefix-vs-A024629": "the base-3/2 numeral of 5 is 21, A024629 has 22",
-    "cross-prefix-vs-A265316": "cross term 2 is 8, A265316 has 7",
-    "top-left-corner": "cell(2, 4) is 112, not 121",
-    "strings-upto-len6-unique": "0 sits at [(0, 0), (40, 60)], locate says (0, 0)",
-    "main-suffix-determines-the-row": "main suffix '20' of cell(2, 3) is not in row 2",
-    "26-digit-example": f"decompose gave {(X26, '', '')}",
-    "leading-zeros-are-neutral": "000 != 0",
-    "window-serialization": "CSV row 1 parses as ['2', '20', '12', '200', '1020', '120'], "
-                            "not ['2', '20', '12', '200', '102', '120']",
-    "decrement-drops-at-most-one-row": "3 (10) sits in row 3, 2 in row 1",
-    "column-0-minimal-and-increasing": "row 5 holds [60, 64] up to its column-0 64",
-    "rejects-impossible-targets": f"witness(1, 0) returned {witness.witness('2', 0)!r} "
-                                  "and raised no NotApplicableError",
-    "rejects-bad-digits": "add_two('13') returned '10' and raised no InvalidDigitError",
-    "zoom-out-fixed-point": "zoom_out of the 30 x 64 window differs from the 20 x 32 window "
-                            "first in row 1, column 0: '21', not '2'",
-    "zoom-rejects-bad-shapes": "zoom_out of a 2 x 2 window returned [['0']] "
-                               "and raised no WindowShapeError",
-    "bfile-parser": "parse_bfile('0 1 2\\n') returned ((0, 1),) and raised no BFileFormatError",
-}
+def test_every_check_has_a_mutant():
+    assert {ln.split()[1] for ln in SMALL_REPORT.splitlines()[:-1]} == {m[4] for m in MUTANTS}
+
+
+def test_a_sieve_that_opens_too_few_rows_fails_every_check_that_reads_its_rows(
+        monkeypatch, capsys):
+    monkeypatch.setattr(greedy, "build_partition", SHORT_SIEVE(greedy.build_partition))
+    code = cli.main(["verify", "--suite", "all", *SMALL])
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
+        f"FAIL {check} (checked {checked}) -- {detail}"
+        for _, _, _, mutant, check, checked, detail in MUTANTS if mutant is SHORT_SIEVE]
 
 
 def test_a_passing_json_report_has_no_details(capsys):
@@ -248,10 +335,10 @@ def test_a_passing_json_report_has_no_details(capsys):
     assert [c["detail"] for c in doc["checks"]] == [""] * 36
 
 
-@pytest.mark.parametrize("row", [m for m in MUTANTS if m[4] in (
-    "first-terms-read-down-column-0", "decompose-reassembles")], ids=lambda m: m[0])
+@pytest.mark.parametrize("row", [m for m, name in zip(MUTANTS, _mutant_ids())
+                                 if name in ("theorem1", "witness")], ids=lambda m: m[0])
 def test_mutants_reach_the_worker_processes(monkeypatch, row):
-    suite, module, fn, mutant, check, checked = row
+    suite, module, fn, mutant, check, checked, detail = row
     monkeypatch.setattr(module, fn, mutant(getattr(module, fn)))
     together = verify.run_suite("all", max_value=2187, max_rows=20)
     # one worker per CPU, and a run that reports a failing check leaves none behind
