@@ -179,8 +179,6 @@ def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
     lives as long as that call.  A shorter string extends only if it is not
     "0" (that would create a leading zero), hence the `if v` filter.
     """
-    if row < 0 or length < 1:
-        return ()
     key = (row, length)
     got = memo.get(key)
     if got is not None:
@@ -196,7 +194,15 @@ def _row_values(row: int, length: int, memo: _Memo) -> tuple[int, ...]:
 
 
 def row_values_below(row: int, bound: int) -> list[int]:
-    """Sorted base-3 values of row `row` cells that are < bound."""
+    """Sorted base-3 values of row `row` cells that are < bound.
+
+    Each length's values come sorted, and those of length L lie in
+    [3^(L-1), 3^L) ("0" aside), so the lengths in turn list them in order.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    if row < 0:
+        raise ValueError(f"row must be >= 0, got {row}")
     memo: _Memo = {}
     out: list[int] = []
     length = 1
@@ -204,5 +210,5 @@ def row_values_below(row: int, bound: int) -> list[int]:
     while length == 1 or 3 ** (length - 1) < bound:
         out.extend(v for v in _row_values(row, length, memo) if v < bound)
         length += 1
-    return sorted(out)
+    return out
 

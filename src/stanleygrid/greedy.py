@@ -168,8 +168,7 @@ def cross_sequence(partition: GreedyPartition, count: int) -> list[int]:
     if count > partition.num_rows:
         need = first_term_bound(count)
         raise InsufficientRangeError(
-            f"only {partition.num_rows} rows opened below {partition.bound}; "
-            f"a bound of {need} suffices for {count} rows",
+            f"only {partition.num_rows} rows opened below {partition.bound}, not {count}",
             required_bound=need,
         )
     return [r[0] for r in partition.rows[:count]]

@@ -21,7 +21,7 @@ as one square matrix per row: verify sieves below 3^9, where a row has at
 most 512 terms, 130,816 pairs.
 
 The suites share no state, so `run_suite` runs several of them side by
-side, in forked worker processes, the longest first, and gathers their
+side, in forked worker processes, theorem1 first, and gathers their
 results in suite order: the report is the same as from one process.  The
 workers are forked because a forked child runs the parent's code as it
 stands, replaced attributes included (the tests swap functions for
@@ -31,7 +31,6 @@ and the package, about 80 ms each, and lose the replacements.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
@@ -292,9 +291,10 @@ def suite_radix(max_value: int) -> list[CheckResult]:
 def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     """rows-are-3free and skips-are-forced, in one pass over the sieve's rows.
 
-    For row j, every pair a < b of its terms gives c = 2b - a.  The row is
-    3-free if no c lies in row j, and every n that the sieve put in a later
-    row must equal some c: n skipped row j only because a, b, n is an AP.
+    For row j, every pair a < b of its terms gives c = 2b - a (rows increase,
+    as rows-partition-the-range checks).  The row is 3-free if no c lies in
+    row j, and every n that the sieve put in a later row must equal some c:
+    n skipped row j only because a, b, n is an AP.
     A row's pairs go through numpy all at once: 2b - a for every a (down)
     and b (across) of the row, masked to the upper triangle, reads them
     row-major, in the order of itertools.combinations, the per-case order of
@@ -306,7 +306,7 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     owner = np.full(2 * limit, -1, dtype=np.int32)    # row of each value; every c < 2 * limit
     for j, terms in enumerate(part.rows):
         owner[list(terms)] = j
-    later = owner[:limit]
+    later = np.maximum(owner[:limit], 0)               # rows each value skipped; 0 if in none
     pairs = 0
     ap_fault = ""
     skip = None                                        # first unforced (n, j) in (n, j) order
@@ -350,8 +350,11 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
 
     held = {n: j for j, terms in enumerate(part.rows) for n in terms}
     stray = next((n for n in range(limit) if held.get(n) != part.row_index(n)), None)
+    unordered = next(((j, a, b) for j, terms in enumerate(part.rows)
+                      for a, b in zip(terms, terms[1:]) if a >= b), None)
     total = sum(len(r) for r in part.rows)
     fault = (f"{stray} is missing from row {part.row_index(stray)}, its row" if stray is not None
+             else "row {} lists {} before {}".format(*unordered) if unordered is not None
              else f"rows hold {total} values, not {limit}" if total != limit else "")
     out.append(_result("rows-partition-the-range", not fault, limit, fault))
 
@@ -436,11 +439,10 @@ def suite_grid() -> list[CheckResult]:
 
     def by_value():
         for i in range(13):
-            vals = [radix.evaluate(w) for w in win.cells[i]]
+            vals = sorted(radix.evaluate(w) for w in win.cells[i])
             vset = set(vals)
             for a, b in itertools.combinations(vals, 2):
-                ap = a != b and 2 * b - a in vset and max(a, b) == b
-                yield f"row {i}: AP ending {2 * b - a}" if ap else ""
+                yield f"row {i}: AP ending {2 * b - a}" if 2 * b - a in vset else ""
     out.append(_scan("rows-are-3free-by-value", by_value()))
 
     w = grid.window(4, 6)
@@ -732,11 +734,8 @@ _RUNNERS = {
 }
 SUITES = (*_RUNNERS, "all")
 
-# Longest first, by serial --timings at the default bounds (theorem1 1.29 s,
-# radix 1.01 s, witness 0.68 s, fractal 0.40 s), then the rest: on 2 workers
-# `all` ends in about 1.9 s, against 2.3 s when theorem1 starts last.
-_LONGEST = ("theorem1", "radix", "witness", "fractal")
-_START_ORDER = (*_LONGEST, *(s for s in _RUNNERS if s not in _LONGEST))
+# theorem1's sieve is the largest single piece of work in `all`, so it starts first
+_START_ORDER = ("theorem1", *(s for s in _RUNNERS if s != "theorem1"))
 
 
 def _run(suite: str, mv: int, mr: int) -> list[CheckResult]:
@@ -744,17 +743,29 @@ def _run(suite: str, mv: int, mr: int) -> list[CheckResult]:
     return _RUNNERS[suite](mv, mr)
 
 
+def _workers(suites: int) -> int:
+    """Processes to run `suites` suites in: one per CPU this process may use, at
+    most one per suite, and only this one where Python cannot fork."""
+    affinity = getattr(os, "sched_getaffinity", None)     # CPython has it on Linux only
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, suites)
+    if workers < 2:
+        return 1
+    # imported here, not at the top: every importer of the package would pay their 13-18 ms
+    import multiprocessing
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
 def run_suite(name: str, max_value: int | None = None, max_rows: int | None = None) -> VerificationReport:
     """Run one suite (or "all") and return its report.
 
     Several suites run side by side, one forked worker process per CPU (at
-    most one per suite), started longest first; their results are gathered
+    most one per suite), theorem1 started first; their results are gathered
     in suite order, so the report does not depend on which finished first.
     The workers are forked, not spawned, so they run the code as it stands
     in this process, replaced attributes included, and import nothing
     again.  Every worker is joined before this returns or raises, and an
-    exception from a suite reaches the caller as itself.  A single suite,
-    or a single CPU, runs in this process.
+    exception from a suite reaches the caller as itself.  A single suite, a
+    single CPU, or a Python without fork runs the suites in this process.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
@@ -770,20 +781,20 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
         check_cap(f"the sieve bound for {mr} rows", greedy.first_term_bound(mr))
 
     order = [s for s in _START_ORDER if name in (s, "all")]
-    workers = min(len(os.sched_getaffinity(0)), len(order))
+    workers = _workers(len(order))
     t0 = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        each = map
-        if workers > 1:
-            # imported here, not at the top: every importer of the package would pay their 13-18 ms
-            import concurrent.futures
-            import multiprocessing
+    if workers > 1:
+        import concurrent.futures
+        import multiprocessing
 
-            # multiprocessing flushes the standard streams before each fork,
-            # so what is buffered now is not written again by a worker
-            each = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))).map
-        done = dict(zip(order, each(_run, order, itertools.repeat(mv), itertools.repeat(mr))))
+        # multiprocessing flushes the standard streams before each fork,
+        # so what is buffered now is not written again by a worker
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            done = dict(zip(order, pool.map(_run, order, itertools.repeat(mv),
+                                            itertools.repeat(mr))))
+    else:
+        done = {suite: _run(suite, mv, mr) for suite in order}
     results = [r for suite in _RUNNERS if suite in done for r in done[suite]]
     return VerificationReport(suite=name, results=results, duration_s=time.perf_counter() - t0,
                               processes=workers)

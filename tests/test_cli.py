@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from stanleygrid import cli, greedy, radix
+from stanleygrid import cli, greedy, grid, radix
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,28 @@ def test_cross_json(capsys):
     doc = json.loads(out)
     assert [d["value"] for d in doc] == [0, 2, 7, 21, 23, 64, 69, 71, 193, 207]
     assert doc[9]["digits"] == "21200"
+
+
+def test_cross_both_exits_1_where_sieve_and_grid_disagree(capsys, monkeypatch):
+    # column 0 of row 3 is "210", worth 21; a wrong cell "21" there is worth 7
+    real = grid.cell
+    monkeypatch.setattr(grid, "cell", lambda i, j: "21" if (i, j) == (3, 0) else real(i, j))
+    code, out, err = run_cli(capsys, "cross", "--count", "5")
+    assert (code, out) == (1, "")
+    assert err == "mismatch: sieve [0, 2, 7, 21, 23] vs grid [0, 2, 7, 7, 23]\n"
+
+
+def test_cross_exits_3_where_the_sieve_opens_too_few_rows(capsys, monkeypatch):
+    # first_term_bound(5) is 24, below which a right sieve opens 5 rows
+    real = greedy.build_partition
+
+    def three_rows(limit):
+        part = real(limit)
+        return greedy.GreedyPartition(part.bound, part.rows[:3], part._assignment)
+    monkeypatch.setattr(greedy, "build_partition", three_rows)
+    code, out, err = run_cli(capsys, "cross", "--count", "5", "--method", "greedy")
+    assert (code, out) == (3, "")
+    assert err == "error: only 3 rows opened below 24, not 5 (a bound of 24 suffices)\n"
 
 
 def test_cross_cap(capsys):

@@ -27,6 +27,7 @@ from stanleygrid.fractal import (
     zoom_coord,
     zoom_out,
 )
+from stanleygrid.greedy import sieve_row
 from stanleygrid.grid import GridCoord, MalformedStringError, cell, row_of, window
 from stanleygrid.radix import BASE_3, represent
 
@@ -272,6 +273,19 @@ def test_row_values_below():
     assert row_values_below(1, 84) == [2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45, 54, 83]
     assert row_values_below(2, 22) == [7, 8, 16, 17, 19, 20]
     assert row_values_below(3, 22) == [21]
+
+
+@pytest.mark.parametrize("row,bound,message", [
+    (-1, 10, "row must be >= 0, got -1"),
+    (0, 0, "bound must be >= 1, got 0"),
+    (0, -5, "bound must be >= 1, got -5"),
+], ids=["negative-row", "zero-bound", "negative-bound"])
+def test_row_values_below_rejects_what_the_sieve_rejects(row, bound, message):
+    with pytest.raises(ValueError):
+        sieve_row(bound, row)
+    with pytest.raises(ValueError) as exc:
+        row_values_below(row, bound)
+    assert str(exc.value) == message
 
 
 @given(st.integers(0, 3**12 - 1))

@@ -126,6 +126,15 @@ def swapping(i, k):
     return lambda real: lambda *a: swap(real(*a))
 
 
+def reordering(row, i, k):
+    """A mutant maker for build_partition: terms i and k of `row` trade places."""
+    def swap(part):
+        rows = [list(r) for r in part.rows]
+        rows[row][i], rows[row][k] = rows[row][k], rows[row][i]
+        return greedy.GreedyPartition(part.bound, tuple(map(tuple, rows)), part._assignment)
+    return lambda real: lambda limit: swap(real(limit))
+
+
 def opening(count):
     """A mutant maker for build_partition: only rows 0..count-1 are kept, the
     value -> row map is left as it was."""
@@ -139,6 +148,13 @@ def replacing(key, value):
     return lambda real: {**real, key: value}
 
 
+def reversing_members(i, j):
+    """A mutant maker for halfz_of: the halfZ of cell (i, j) lists its members in reverse."""
+    def reverse(hz):
+        return dataclasses.replace(hz, members=hz.members[::-1])
+    return lambda real: lambda *a: reverse(real(*a)) if a == (i, j) else real(*a)
+
+
 def zoom_swapping_0_and_2(real):
     """A mutant of the one-level zoom: rows 3a+1 read digit 0 as 2 and 2 as 0."""
     def zoom(i, j):
@@ -149,6 +165,8 @@ def zoom_swapping_0_and_2(real):
 
 SHORT_SIEVE = opening(3)
 X26 = "11102010220102110110011000"
+A005836 = refdata.bundled("A005836")
+BFILE = "# comment\n\n0 5\n1 7\n"
 
 # (suite, module, function, its mutant maker, the check that must catch it,
 #  the number of cases that check runs up to and including the wrong one, what it says)
@@ -168,6 +186,9 @@ MUTANTS = [
     # "13" holds a 3, which base 3/2 has no digit for
     ("radix", radix, "add_two", wrong_on(("13",), "10"), "rejects-bad-digits", 1,
      "add_two('13') returned '10' and raised no InvalidDigitError"),
+    # a result longer than the 8 digits the check reads is not well-formed
+    ("radix", radix, "add_two", wrong_on(("122",), "1220000000"), "carry-rule-lengths<=7", 18,
+     "add_two(122) = 1220000000"),
     # the pairs of rows 0 and 1 (128 and 127 values) come first; row 2 starts 7, 8, 16,
     # so with 25 sieved into it its second pair ends an AP
     ("greedy", greedy, "build_partition", sieve_moving(25, 2), "rows-are-3free",
@@ -196,12 +217,21 @@ MUTANTS = [
      "21 is missing from row 3, its row"),
     ("greedy", greedy, "build_partition", SHORT_SIEVE, "cross-prefix-vs-A265316", 10,
      "cross term 3 is none, A265316 has 21"),
+    # row 5 starts 64, 65, 67, 68, 73: every value keeps its row, but the row no longer increases
+    ("greedy", greedy, "build_partition", reordering(5, 3, 4), "rows-partition-the-range", 2187,
+     "row 5 lists 73 before 68"),
     # "1" + cell(3, 0): rows 0-2 give 3 * 16 * 4 cases before it
     ("grid", grid, "row_of", wrong_on(("1210",), 0), "binary-prefixes-keep-the-row", 193,
      "1+cell(3, 0) leaves row 3"),
     # row 0 starts "0", "1", "10": worth 0, 1, 2, its first pair ends an AP
     ("grid", radix, "evaluate", wrong_on(("10",), 2), "rows-are-3free-by-value", 1,
      "row 0: AP ending 2"),
+    # row 0 holds "0", "1", "10", ...: with "0" worth 275/64 its values sorted run 1, 3/2,
+    # 9/4, 5/2, 13/4, 27/8, 15/4, 275/64, and the 7th pair, 1 and 275/64, ends an AP at
+    # "100000"; "11" (5/2) sits left of "100" (9/4), so a check that reads pairs in window
+    # order misses it
+    ("grid", radix, "evaluate", wrong_on(("0",), Fraction(275, 64)), "rows-are-3free-by-value", 7,
+     "row 0: AP ending 243/32"),
     # "121" at cell (2, 4) is the 17th of the 24 corner cells
     ("grid", grid, "cell", wrong_on((2, 4), "112"), "top-left-corner", 17,
      "cell(2, 4) is 112, not 121"),
@@ -240,9 +270,18 @@ MUTANTS = [
     # rows 0-3 give 4 * 64 cases before it
     ("fractal", fractal, "halfz_of", wrong_on((4, 5), fractal.halfz_of(4, 4)),
      "cells-partition-into-halfzs", 4 * 64 + 6, "cell (4,5) missing from its own halfZ"),
+    # the same halfZ, its members in the wrong order: the other members list them right
+    ("fractal", fractal, "halfz_of", reversing_members(4, 5), "cells-partition-into-halfzs",
+     4 * 64 + 6, "members of (4,5) disagree about their triple"),
     # a level-2 halfZ for level 1: level 0 runs 18 x 8 cases, then (9, 8) at level 1
     ("fractal", fractal, "halfz_of", wrong_on((9, 8, 1), fractal.halfz_of(9, 8, 2)),
      "prefix-loses-one-digit-per-level", 18 * 8 + 1, "level-1 prefix of (9,8): 22 vs 22200"),
+    # counting from "1" to "2" carries nothing, so "1" and "2" share a level-0 halfZ; from
+    # "2" to "10" it carries once, so they share only a level-1 halfZ
+    ("fractal", fractal, "ternary_successor", wrong_on(("1",), ("2", 1)),
+     "traversal-counts-in-ternary", 3, "entry 2: shares a level-0 halfZ with its predecessor"),
+    ("fractal", fractal, "ternary_successor", wrong_on(("2",), ("10", 0)),
+     "traversal-counts-in-ternary", 4, "entry 3: not in one level-0 halfZ"),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
      "decompose-reassembles", 5, "decompose(201) = ('2', '0', '0')"),
@@ -258,6 +297,20 @@ MUTANTS = [
     ("witness", witness, "witness",
      wrong_on(("22", 1), (witness.WitnessPair("22", 1, "0", "11"), [witness.TAG_DEGENERATE])),
      "all-exclusions-have-witnesses", 7, "witness(22, 1): pair not in row 1"),
+    # 2, 6, 8 is no AP
+    ("witness", witness, "witness",
+     wrong_on(("22", 1), (witness.WitnessPair("22", 1, "2", "20"), [witness.TAG_DEGENERATE])),
+     "all-exclusions-have-witnesses", 7, "witness(22, 1) gave 2, 20"),
+    # 5, 6, 7 is the AP in row 1 that pushes 7 to row 2, the 4th exclusion once 5 or 6 is
+    # sieved into row 0 (0, 3, 6 pushes 6 to row 1, 1, 4, 7 pushes 7 past row 0)
+    ("witness", greedy, "build_partition", sieve_moving(5, 0), "all-exclusions-have-witnesses",
+     4, "witness(21, 1): 5 not sieved into row 1"),
+    ("witness", greedy, "build_partition", sieve_moving(6, 0), "all-exclusions-have-witnesses",
+     4, "witness(21, 1): 6 not sieved into row 1"),
+    # "2" is the first exclusion: 0, 1, 2 in row 0
+    ("witness", witness, "witness",
+     wrong_on(("2", 0), (witness.witness("2", 0)[0], ["no-such-tag"])),
+     "all-exclusions-have-witnesses", 1, "unknown trace tag in ['no-such-tag']"),
     # (standard, 2, "0") is the 7th step; a peculiar step is allowed there, but is not the
     # smallest step allowed
     ("witness", witness, "_STEPS",
@@ -273,10 +326,19 @@ MUTANTS = [
     # a line of three fields is the second of the parser's two cases
     ("refdata", refdata, "parse_bfile", wrong_on(("0 1 2\n",), ((0, 1),)), "bfile-parser", 2,
      "parse_bfile('0 1 2\\n') returned ((0, 1),) and raised no BFileFormatError"),
+    # A005836 is the first bundled sequence; its third index is left out
+    ("refdata", refdata, "bundled",
+     wrong_on(("A005836",), dataclasses.replace(A005836, terms=A005836.terms[:2] + A005836.terms[3:])),
+     "bundled-bfiles-load", 1, "A005836: non-contiguous indices"),
+    ("refdata", refdata, "parse_bfile", wrong_on((BFILE,), ((0, 5),)), "bfile-parser", 1,
+     "a b-file with a comment and a blank line parses as ((0, 5),), not ((0, 5), (1, 7))"),
     ("theorem1", grid, "cell", wrong_on((5, 0), "0"), "first-terms-read-down-column-0", 6,
      "row 5: sieve starts 64, column 0 reads 0"),
     ("theorem1", greedy, "build_partition", SHORT_SIEVE, "first-terms-read-down-column-0", 4,
      "row 3 never opened below 1740"),
+    # column 0 of row 5 is "2101", the base-3/2 numeral of 10
+    ("theorem1", radix, "represent", wrong_on((10,), "21"), "first-terms-read-down-column-0", 6,
+     "row 5: column 0 is 2101, (2i)_3/2 is 21"),
     ("theorem2", fractal, "row_values_below", wrong_on((4, 2187), []),
      "rows-equal-grid-value-sets", 5, "row 4: sieve [23, 26, 50, 53, 59]..., grid []..."),
     # the grid must leave row 3 empty below the bound, where the sieve opened no row 3
@@ -325,6 +387,8 @@ def test_a_sieve_that_opens_too_few_rows_fails_every_check_that_reads_its_rows(
     assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
         f"FAIL {check} (checked {checked}) -- {detail}"
         for _, _, _, mutant, check, checked, detail in MUTANTS if mutant is SHORT_SIEVE]
+    # the values that rows 0-2 hold skipped 379 rows in all; those of no row count none
+    assert "ok   skips-are-forced (checked 379)" in out.splitlines()
 
 
 def test_a_passing_json_report_has_no_details(capsys):
@@ -349,6 +413,32 @@ def test_mutants_reach_the_worker_processes(monkeypatch, row):
     assert together.results == alone
     failed = {r.name: r for r in together.results if not r.passed}
     assert failed[check].checked == checked
+
+
+def test_without_sched_getaffinity_one_worker_runs_per_cpu(monkeypatch, capsys):
+    # CPython has os.sched_getaffinity on Linux only
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code = cli.main(["verify", "--suite", "all", *SMALL, "--timings"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, SMALL_REPORT)
+    assert err.endswith(" in 3 processes\n")
+
+
+def test_without_fork_the_suites_run_in_this_process(monkeypatch, capsys):
+    # as on Windows: no "fork" start method, and asking for one is a ValueError
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real(method)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    code = cli.main(["verify", "--suite", "all", *SMALL, "--timings"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, SMALL_REPORT)
+    assert err.endswith(" in 1 process\n")
 
 
 EXCEPTIONS = [
