@@ -8,7 +8,7 @@ grid itself: upper prefixes at (2a, b), lower at (2a+1, b).  Replacing
 each halfZ by its prefix cell is therefore a zoom-out map under which the
 grid is a fixed point, and iterating it nests the halfZs into arbitrarily
 deep levels.  The block arithmetic behind both directions of that map is
-owned by grid (_coord_of steps down, _zoom steps up); descend and
+owned by grid (_step steps down, _zoom steps up); descend and
 zoom_coord here are one-line uses of it, and _row_values reads which rows
 feed a row from _zoom.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _is_ternary, _zoom, cell
+from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _is_ternary, _step, _zoom, cell
 from .radix import canonicalize
 
 
@@ -61,7 +61,7 @@ def descend(coord: GridCoord | tuple[int, int], d: int) -> GridCoord:
     Appending digit d to the string at coord yields the string at the
     returned cell, which is how traversal and locate walk the nesting.
     """
-    return GridCoord(*_coord_of("012"[d], *coord))
+    return GridCoord(*_step(*coord, d))
 
 
 def halfz_of(i: int, j: int, level: int = 0) -> HalfZ:
@@ -122,7 +122,7 @@ def locate(w: str) -> GridCoord:
     Starting from the origin (whose halfZ chain is a fixed point), digit
     d picks the d-th member of the current cell's halfZ.  K levels of that
     nesting make one 3^K x 2^K block, so grid._coord_of descends K digits
-    per step and walks only the 0 to K - 1 digits left over one at a time;
+    per step, after one head-table step for the len(w) % K leading digits;
     grid.cell is the inverse.
     """
     _check_ternary(w)

@@ -8,11 +8,13 @@ values of row i are exactly the i-th greedy 3-free row.
 The string <-> cell bijection runs through the halfZ nesting (see
 fractal): each digit of a string picks one cell of a 3 x 2 block, and
 zooming a cell out to the origin reads its digits back.  Since zooming
-out maps the grid onto itself, K digits pick one cell of a 3^K x 2^K
-block, so both directions go K levels per step through two small tables,
-_DOWN and _UP, built at import from the one-digit rules.  This module owns
-that block numbering: the one-digit steps in _coord_of and _zoom are its
-only definition, and fractal's halfZs and row values only call them.
+out maps the grid onto itself, m digits pick one cell of a 3^m x 2^m
+block.  So a walk down takes the len(w) % K leading digits in one step of
+a head table and the rest K at a time through _DOWN, and cell zooms out
+K levels per step through _UP, which is _DOWN read backwards.  This module
+owns that block numbering: _step, the one-digit step, is its only
+definition; every table is built from it at import, and _zoom is its
+inverse.  fractal's halfZs and row values only call them.
 Both directions take time linear in the string length and keep no state,
 so the grid is the plain functions cell, row_of and window; the add-2
 column rule is not used here and stays an independent check.
@@ -21,10 +23,9 @@ column rule is not used here and stays an independent check.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .radix import is_canonical
 
 
 class MalformedStringError(ValueError):
@@ -48,11 +49,20 @@ def _is_ternary(w: str) -> bool:
     return bool(w) and not w.strip("012")
 
 
+_CANONICAL = re.compile("0|[12][012]*")
+
+
 def _check_ternary(w: str) -> None:
+    """Raise MalformedStringError unless w is a canonical {0,1,2}-string.
+
+    One match decides; a string that fails it is looked at again only to
+    say which rule it breaks.
+    """
+    if _CANONICAL.fullmatch(w):
+        return
     if not _is_ternary(w):
         raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
-    if not is_canonical(w):
-        raise MalformedStringError(f"{w!r} has a leading zero")
+    raise MalformedStringError(f"{w!r} has a leading zero")
 
 
 K = 3                  # levels per table step: 3^K x 2^K blocks
@@ -60,39 +70,44 @@ _ROWS = 3**K
 _COL_MASK = 2**K - 1
 
 
-def _coord_of(w: str, p: int = 0, q: int = 0) -> tuple[int, int]:
-    """(row, col) reached from the prefix cell (p, q) by appending w.
+def _step(p: int, q: int, d: int) -> tuple[int, int]:
+    """The cell that digit d, appended to the string at prefix cell (p, q), leads to.
 
     Number the six cells of the 3 x 2 block at (3a, 2b) row by row,
     k = 2 * (row % 3) + col % 2.  The upper halfZ anchored at (a, b) is
     k = 0, 1, 2 with its prefix at (2a, b); the lower one is k = 3, 4, 5
     with its prefix at (2a + 1, b).  So from prefix cell (p, q), digit d
-    leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q):
-    that one-digit step is the last loop below.  The origin is its own
-    prefix, so a whole string walks from there.
-
-    K digits at a time go through _DOWN in one step; the one-digit loop
-    walks only the 0 to K - 1 digits left over, so a single digit (as
-    descend appends) never touches the table.  A _DOWN step holds from
-    every prefix cell, not only from the origin (see the note at _DOWN),
-    which witness._construct needs: it re-walks from a prefix cell.
+    leads to cell k = 3 * (p % 2) + d of the block at (3 * (p // 2), 2q).
     """
-    if len(w) >= K:
-        head = len(w) - len(w) % K
-        for i in range(0, head, K):
-            r, c = _DOWN[p & _COL_MASK][w[i:i + K]]
-            p = _ROWS * (p >> K) + r
-            q = (q << K) + c
-        w = w[head:]
-    for ch in w:
-        r, c = divmod(3 * (p & 1) + int(ch), 2)
-        p = 3 * (p >> 1) + r
-        q = 2 * q + c
+    r, c = divmod(3 * (p & 1) + d, 2)
+    return 3 * (p >> 1) + r, 2 * q + c
+
+
+def _coord_of(w: str, p: int = 0, q: int = 0) -> tuple[int, int]:
+    """(row, col) reached from the prefix cell (p, q) by appending w: where one
+    _step per digit would lead.
+
+    The m = len(w) % K leading digits take one step of _HEAD[m], and the
+    rest take one step of _DOWN per K digits, so no digit is walked on its
+    own.  Each step holds from every prefix cell, not only from the origin
+    (see the note at _HEAD), which witness._construct needs: it re-walks
+    from a prefix cell.  The origin is its own prefix, so a whole string
+    walks from there.
+    """
+    m = len(w) % K
+    if m:
+        r, c = _HEAD[m][p & ((1 << m) - 1)][w[:m]]
+        p = 3**m * (p >> m) + r
+        q = (q << m) + c
+    for i in range(m, len(w), K):
+        r, c = _DOWN[p & _COL_MASK][w[i:i + K]]
+        p = _ROWS * (p >> K) + r
+        q = (q << K) + c
     return p, q
 
 
 def _zoom(i: int, j: int) -> tuple[int, int, int]:
-    """Inverse of one _coord_of step: (prefix row, prefix col, last digit) of cell (i, j).
+    """Inverse of _step: (prefix row, prefix col, last digit) of cell (i, j).
 
     Cell (i, j) is block cell k = 2 * (i % 3) + j % 2, its digit is k % 3,
     and its halfZ's prefix sits at (2 * (i // 3) + k // 3, j // 2).
@@ -102,42 +117,43 @@ def _zoom(i: int, j: int) -> tuple[int, int, int]:
     return 2 * a + k // 3, j >> 1, k % 3
 
 
-def _down_row(p: int) -> dict[str, tuple[int, int]]:
-    """Each K-digit string -> the cell (L, B) it leads to from prefix cell (p, 0).
+def _walks(p: int, m: int) -> dict[str, tuple[int, int]]:
+    """Each m-digit string -> the cell (L, B) it leads to from prefix cell (p, 0).
 
-    Walks the strings as a tree, one digit per _coord_of call, so no call
-    reads _DOWN, which this builds.
+    Walks the strings as a tree, one _step per digit.
     """
     ends = {"": (p, 0)}
-    for _ in range(K):
-        ends = {w + d: _coord_of(d, *end) for w, end in ends.items() for d in "012"}
+    for _ in range(m):
+        ends = {w + "012"[d]: _step(*end, d) for w, end in ends.items() for d in range(3)}
     return ends
 
 
-def _zoom_block(i: int, j: int) -> tuple[int, str]:
-    """(F, digits): K one-level zooms take cell (i, j), i < 3^K and j < 2^K,
-    to (F, 0), reading `digits`, most significant first."""
-    digits = ""
-    for _ in range(K):
-        i, j, d = _zoom(i, j)
-        digits = "012"[d] + digits
-    return i, digits
+# _HEAD[m][p % 2^m][m digits] = (L, B) for 0 < m < K, and _DOWN[p % 2^K] the
+# same for m = K: appending the digits to any prefix cell (p, q) leads to
+# (3^m * (p >> m) + L, 2^m * q + B), for every p >= 0, not only p < 2^m
+# (witness re-walks from a prefix cell).  By induction on the steps: after
+# t < m of them the row is 3^t * 2^(m-t) * (p >> m) plus the row the walk
+# from (p % 2^m, 0) has reached, so it has that walk's parity, and the next
+# step, p -> 3 * (p >> 1) + r, keeps the form with t+1.  The column doubles
+# each step whatever the row, plus a bit that depends only on the row's
+# parity and the digit.
+_HEAD = {m: tuple(_walks(p, m) for p in range(2**m)) for m in range(1, K)}
+_DOWN = tuple(_walks(p, K) for p in range(2**K))
 
 
-# _DOWN[p % 2^K][K digits] = (L, B): appending the digits to any prefix cell
-# (p, q) leads to (3^K * (p >> K) + L, 2^K * q + B), for every p >= 0, not
-# only from the origin (witness re-walks from a prefix cell).  By induction
-# on the steps: after t < K of them the row is 3^t * 2^(K-t) * (p >> K) plus
-# the row the walk from (p % 2^K, 0) has reached, so it has that walk's
-# parity, and the next step, p -> 3 * (p >> 1) + r, keeps the form with t+1.
-# The column doubles each step whatever the row, plus a bit that depends
-# only on the row's parity and the digit.
-_DOWN = tuple(_down_row(p) for p in range(2**K))
+def _inverse(down: tuple[dict[str, tuple[int, int]], ...]) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """up[L][B] = (F, digits) wherever down[F][digits] = (L, B)."""
+    up = [[(0, "")] * 2**K for _ in range(_ROWS)]
+    for f, ends in enumerate(down):
+        for digits, (r, c) in ends.items():
+            up[r][c] = f, digits
+    return tuple(map(tuple, up))
+
 
 # _UP[i % 3^K][j % 2^K] = (F, digits): zooming cell (i, j) out K levels
-# leads to (2^K * (i // 3^K) + F, j >> K) and reads `digits`; it is the
-# inverse of _DOWN, and holds for every (i, j) by the same induction.
-_UP = tuple(tuple(_zoom_block(i, j) for j in range(2**K)) for i in range(_ROWS))
+# leads to (2^K * (i // 3^K) + F, j >> K) and reads `digits`.  It is _DOWN
+# read backwards, so it holds for every (i, j) by the same induction.
+_UP = _inverse(_DOWN)
 
 
 def cell(i: int, j: int) -> str:

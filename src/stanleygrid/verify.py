@@ -608,7 +608,11 @@ def suite_witness(max_value: int) -> list[CheckResult]:
     def exclusions():
         w = "0"
         for n in range(limit):
-            for j in range(part.row_index(n)):
+            row = part.row_index(n)
+            # witnesses exist only for the rows above n's grid row: a sieve row past it fails
+            if row > (got := grid.row_of(w)):
+                yield f"{n} = ({w})_3 sieved into row {row}, past its grid row {got}"
+            for j in range(row):
                 yield exclusion_fault(w, n, j)
             w, _ = fractal.ternary_successor(w)
     out.append(_scan("all-exclusions-have-witnesses", exclusions()))

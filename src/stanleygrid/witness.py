@@ -7,12 +7,15 @@ greedy sieve to push [x]_3 past row j.  This module constructs such a
 pair digit by digit and exposes an independent brute-force oracle, which
 scans a sieved row and serves the tests as reference.
 
-The construction is one loop over one step table, _STEPS.  Each step
-strips the last digit of x, which maps a row-(3a+r) target onto row 2a or
-2a+1, and appends one digit to each of c and d.  A trailing 1 under a
-row-(3a+1) target leaves the standard equation for a shifted one, which
-may restart from the numeral one below the stripped prefix.  The loop
-stops once the prefix sits in the target row, with c = d = the prefix.
+The construction is one step table, _STEPS.  Each step strips the last
+digit of x, which maps a row-(3a+r) target onto row 2a or 2a+1, and
+appends one digit to each of c and d.  A trailing 1 under a row-(3a+1)
+target leaves the standard equation for a shifted one, which may restart
+from the numeral one below the stripped prefix.  The loop stops once the
+prefix sits in the target row, with c = d = the prefix.  It runs _FUSED,
+derived at import from _STEPS and grid's one-level zoom: the residues of
+the prefix's cell name the stripped digit, so one lookup gives the step
+and the next cell.
 """
 
 from __future__ import annotations
@@ -188,39 +191,62 @@ _STEPS = {
 }
 
 
+_SHAPES = (_STANDARD, _SHIFTED)
+
+
+def _fused_step(shape: str, r: int, k: int, b: int) -> tuple:
+    """The step from a prefix cell with p % 3 = k and q % 2 = b: the _STEPS
+    entry for the digit that _zoom strips there, the next shape's first
+    _FUSED index, the two appended digits joined, and the prefix-row offset
+    of _zoom(p, q) = (2 * (p // 3) + offset, q >> 1, digit)."""
+    offset, _, e = _zoom(k, b)
+    tag, shape2, bit, c_digit, d_digit = _STEPS[shape, r, "012"[e]]
+    return tag, 18 * _SHAPES.index(shape2), bit, c_digit + d_digit, offset
+
+
+# _FUSED[18 * s + 6 * (t % 3) + 2 * (p % 3) + q % 2], s = the shape's index in _SHAPES
+_FUSED = tuple(_fused_step(shape, r, k, b)
+               for shape in _SHAPES for r in range(3) for k in range(3) for b in range(2))
+
+
 def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, str]:
     """Solve the standard equation for x, which sits at cell `at`, and target row j.
 
-    Each step zooms the cell out to the prefix's, so no row check locates again.
+    Each step zooms the cell out to the prefix's, so no row check locates
+    again, and the cell's residues pick the step from _FUSED, so the digit
+    it strips is never read.  `shape` is the shape's first _FUSED index: 0
+    while the equation is standard.  The prefix is digits[:n], n = len(x)
+    less one per step taken; each peculiar step takes 1 off it.
     """
     digits = list(x)
     p, q = at
-    shape, t = _STANDARD, j
-    c_tail, d_tail = [], []
-    while shape == _SHIFTED or p > t:
-        a, r = divmod(t, 3)
-        tag, shape, bit, c_digit, d_digit = _STEPS[shape, r, digits.pop()]
-        p, q = _zoom(p, q)[:2]
+    shape, t = 0, j
+    tails = []
+    while p > t or shape:
+        tag, shape, bit, cd, offset = _FUSED[shape + 6 * (t % 3) + 2 * (p % 3) + (q & 1)]
+        p = 2 * (p // 3) + offset
+        q >>= 1
+        t = 2 * (t // 3) + bit
+        tails.append(cd)
         if tag is not None:
             trace.append(tag)
-        if tag == TAG_PECULIAR:
-            # minus 1: trailing 0s become 2s, the last nonzero digit drops by one; walk
-            # just those digits again (a leading 0 left behind keeps the cell)
-            i = len(digits) - 1
-            while digits[i] == "0":
-                i -= 1
-            digits[i:] = [str(int(digits[i]) - 1)] + ["2"] * (len(digits) - 1 - i)
-            for _ in range(len(digits) - i):
-                p, q = _zoom(p, q)[:2]
-            p, q = _coord_of("".join(digits[i:]), p, q)
-        c_tail.append(c_digit)
-        d_tail.append(d_digit)
-        t = 2 * a + bit
-    y = canonicalize("".join(digits))
+            if tag == TAG_PECULIAR:
+                # minus 1: trailing 0s become 2s, the last nonzero digit drops by one; walk
+                # just those digits again (a leading 0 left behind keeps the cell)
+                n = len(digits) - len(tails)
+                i = n - 1
+                while digits[i] == "0":
+                    i -= 1
+                digits[i:n] = [str(int(digits[i]) - 1)] + ["2"] * (n - 1 - i)
+                for _ in range(n - i):
+                    p, q = _zoom(p, q)[:2]
+                p, q = _coord_of("".join(digits[i:n]), p, q)
+    y = canonicalize("".join(digits[:len(digits) - len(tails)]))
     if p < t:
         raise ConstructionError(f"row({y}) = {p} < target {t}", trace)
     trace.append(TAG_DEGENERATE)
-    return canonicalize(y + "".join(c_tail[::-1])), canonicalize(y + "".join(d_tail[::-1]))
+    appended = "".join(reversed(tails))  # c's and d's digits alternate
+    return canonicalize(y + appended[::2]), canonicalize(y + appended[1::2])
 
 
 def _validate(pair: WitnessPair, trace: list[str]) -> None:

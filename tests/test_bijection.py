@@ -129,7 +129,7 @@ def _one_digit_step(p, q, d):
 
 
 def test_coord_of_matches_one_digit_walks_from_every_start():
-    # lengths 0..2K+1 leave every tail length 0..K-1 after zero, one and two table steps;
+    # lengths 0..2K+1 give every head length 0..K-1 before zero, one and two _DOWN steps;
     # starts p < 2^(K+1) cover every table row, each with two values of p >> K
     starts = [(p, q) for p in range(2 ** (grid.K + 1)) for q in range(4)]
     level = {"": starts}

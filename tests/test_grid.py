@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stanleygrid import grid
 from stanleygrid.grid import (
     GridCoord,
     MalformedStringError,
@@ -14,7 +15,7 @@ from stanleygrid.grid import (
     row_of,
     window,
 )
-from stanleygrid.radix import add_two
+from stanleygrid.radix import add_two, is_canonical
 
 CORNER = [
     ["0", "1", "10", "11", "100", "101"],
@@ -74,6 +75,37 @@ def test_row_of_rejects_malformed():
     for bad in ("01", "3", "", "1a", "021"):
         with pytest.raises(MalformedStringError):
             row_of(bad)
+
+
+def _two_step_check(w):
+    """The check as two tests: a {0,1,2}-string first, then no leading zero."""
+    if not w or w.strip("012"):
+        raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
+    if not is_canonical(w):
+        raise MalformedStringError(f"{w!r} has a leading zero")
+
+
+def _verdict(check, w):
+    try:
+        check(w)
+    except MalformedStringError as e:
+        return str(e)
+    return None
+
+
+def test_check_ternary_agrees_with_the_two_step_check():
+    short = ["".join(t) for n in range(6) for t in itertools.product("012a", repeat=n)]
+    long = ["2" + "10" * 2499 + "1", "0" + "12" * 2499 + "1", "1" * 4999 + "a", "a" + "2" * 4999]
+    assert len(short) == sum(4**n for n in range(6)) and {len(w) for w in long} == {5000}
+    verdicts = [_verdict(grid._check_ternary, w) for w in short + long]
+    assert verdicts == [_verdict(_two_step_check, w) for w in short + long]
+    # "", "0", "1", "2", "a": rejected, accepted, accepted, accepted, rejected
+    assert verdicts[:5] == ["'' is not a {0,1,2}-string", None, None, None,
+                            "'a' is not a {0,1,2}-string"]
+    assert verdicts[-3:-1] == [f"{long[1]!r} has a leading zero",
+                               f"{long[2]!r} is not a {{0,1,2}}-string"]
+    # "0", the short strings led by 1 or 2, and long[0]
+    assert verdicts.count(None) == 1 + sum(2 * 3 ** (n - 1) for n in range(1, 6)) + 1
 
 
 def test_binary_prefix_keeps_row():

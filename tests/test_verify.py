@@ -311,6 +311,10 @@ MUTANTS = [
     ("witness", witness, "witness",
      wrong_on(("2", 0), (witness.witness("2", 0)[0], ["no-such-tag"])),
      "all-exclusions-have-witnesses", 1, "unknown trace tag in ['no-such-tag']"),
+    # 4 ("11") sits in grid row 0, so no witness explains a row-1 sieve; 2 ("2"), the only
+    # exclusion before it, comes first
+    ("witness", greedy, "build_partition", sieve_moving(4, 1), "all-exclusions-have-witnesses",
+     2, "4 = (11)_3 sieved into row 1, past its grid row 0"),
     # (standard, 2, "0") is the 7th step; a peculiar step is allowed there, but is not the
     # smallest step allowed
     ("witness", witness, "_STEPS",

@@ -1,5 +1,6 @@
 """Witness pairs explaining greedy exclusions."""
 
+import collections
 import itertools
 import json
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stanleygrid import grid
 from stanleygrid import witness as witness_module
 from stanleygrid.fractal import locate, ternary_successor
 from stanleygrid.greedy import build_partition
@@ -192,6 +194,26 @@ def test_trace_tags_cover_the_three_shift_branches(part243):
 def test_tags_are_the_step_tags_and_degenerate():
     emitted = {step[0] for step in witness_module._STEPS.values()} - {None}
     assert TAGS == emitted | {TAG_DEGENERATE}
+
+
+def test_fused_steps_are_the_step_table_read_through_the_zoom():
+    steps, zoom = witness_module._STEPS, grid._zoom
+    shapes = (witness_module._STANDARD, witness_module._SHIFTED)
+    keys = list(itertools.product(range(2), range(3), range(3), range(2)))  # s, t % 3, p % 3, q % 2
+    rebuilt = {}
+    for s, r, k, b in keys:
+        offset, _, e = zoom(k, b)
+        tag, shape, bit, c_digit, d_digit = steps[shapes[s], r, "012"[e]]
+        rebuilt[18 * s + 6 * r + 2 * k + b] = (tag, 18 * shapes.index(shape), bit,
+                                               c_digit + d_digit, offset)
+    assert witness_module._FUSED == tuple(rebuilt[i] for i in range(36))
+    # the loop's step p' = 2 * (p // 3) + offset, q' = q >> 1 is the zoom of (p, q)
+    for p, q in itertools.product(range(30), range(16)):
+        offset = rebuilt[2 * (p % 3) + q % 2][-1]
+        assert (2 * (p // 3) + offset, q >> 1) == zoom(p, q)[:2]
+    # the six (p % 3, q % 2) cells strip each digit twice
+    reached = collections.Counter((shapes[s], r, "012"[zoom(k, b)[2]]) for s, r, k, b in keys)
+    assert reached == dict.fromkeys(steps, 2)
 
 
 def test_witness_of_a_1000_digit_string():
