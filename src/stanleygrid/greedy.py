@@ -17,16 +17,20 @@ lies above m, so a value once accepted is never marked.  The array is
 2*limit long, so every mark 2n - a (< 2n) lands inside it, and seen
 backwards it turns 2n - a into an offset plus a: one numpy scatter with the
 row's term buffer as the index array marks all of n's values at once.
+numpy is imported inside the functions that sieve, so importing this module
+does not load it: only a sieve pays for numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .radix import BASE_3_2, represent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InsufficientRangeError(ValueError):
@@ -84,6 +88,8 @@ def _fill_row(forbidden: bytearray, n: int, terms: np.ndarray) -> list[int]:
     the values earlier rows took.  The row's marks are left in it and its
     terms in terms[:len(row)].
     """
+    import numpy as np
+
     limit = len(forbidden) // 2
     rev = np.frombuffer(forbidden, dtype=np.uint8)[::-1]   # forbidden[m] is rev[top - m]
     top = 2 * limit - 1
@@ -108,6 +114,8 @@ def _rows(limit: int) -> Iterator[tuple[list[int], np.ndarray]]:
 
     The index array is a view of a buffer the next row overwrites.
     """
+    import numpy as np
+
     taken = np.zeros(limit, dtype=bool)
     forbidden = bytearray(2 * limit)                        # every mark 2n - a < 2 * limit fits
     forbidden_np = np.frombuffer(forbidden, dtype=np.uint8)  # same memory, vectorized writes
@@ -133,6 +141,7 @@ def build_partition(limit: int) -> GreedyPartition:
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    import numpy as np
 
     assignment = np.full(limit, -1, dtype=np.int32)         # -1: in no row yet
     rows: list[tuple[int, ...]] = []

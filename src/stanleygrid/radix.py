@@ -20,11 +20,20 @@ step, gives the same string as the one-digit loop, with one divmod per k
 digits; only the top block may add leading zeros, which are stripped.
 k is the largest with p^k <= 1024: 6 for bases 3/2 and 3, 4 for 5/3, 10
 for 2, 3 for 10.
+
+scaled_value reads k digits per step the other way.  A string of L digits
+is worth V / q^(L-1), V = sum d_t q^t p^(L-1-t) over its digits d_t from
+the left.  A block of k digits from position i on adds T(block) q^i, with
+T(d_0..d_(k-1)) = sum d_j q^j p^(k-1-j), to V / p^(L-i-k), so Horner over
+the blocks, V <- V p^k + T(block) q^i, needs one table entry per block.
+Left-padding to a whole number of blocks with z zeros multiplies V by
+q^z, which one exact division takes off again.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,9 +74,9 @@ class RationalBase:
 
     @classmethod
     def parse(cls, text: str) -> "RationalBase":
-        """Parse "3/2" or "3" into a RationalBase."""
+        """Parse "3/2" or "3" into a RationalBase; p and q are read by from_decimal."""
         p, _, q = text.partition("/")
-        return cls(int(p), int(q) if q else 1)
+        return cls(from_decimal(p), from_decimal(q) if q else 1)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)
@@ -79,9 +88,7 @@ class RationalBase:
         left after them.  Built on first use; equality and hashing ignore it.
         """
         p, q = self.p, self.q
-        k = 1
-        while p ** (k + 1) <= _TABLE_ENTRIES:
-            k += 1
+        k = _block_length(p)
         table = []
         for rest in range(p**k):
             digits = []
@@ -91,6 +98,30 @@ class RationalBase:
                 rest = q * (rest - r) // p
             table.append(("".join(reversed(digits)), rest))
         return p**k, q**k, tuple(table)
+
+    @functools.cached_property
+    def block_values(self) -> tuple[int, int, int, dict[str, int]]:
+        """(k, p^k, q^k, table) for scaled_value: table maps each k-digit
+        string d_0..d_(k-1) to sum d_j q^j p^(k-1-j).  Built on first use;
+        equality and hashing ignore it.
+        """
+        p, q = self.p, self.q
+        k = _block_length(p)
+        table = {}
+        for block in itertools.product(range(p), repeat=k):
+            t = 0
+            for j, d in enumerate(block):
+                t = p * t + d * q**j
+            table["".join(_DIGITS[d] for d in block)] = t
+        return k, p**k, q**k, table
+
+
+def _block_length(p: int) -> int:
+    """k, the digits per step of represent and scaled_value: the largest with p^k <= 1024."""
+    k = 1
+    while p ** (k + 1) <= _TABLE_ENTRIES:
+        k += 1
+    return k
 
 
 BASE_3_2 = RationalBase(3, 2)
@@ -138,17 +169,19 @@ def represent(n: int, base: RationalBase = BASE_3_2) -> str:
 def scaled_value(w: str, base: RationalBase = BASE_3_2) -> tuple[int, int]:
     """Return (v, e) with [w]_{p/q} = v / q**e, e = len(w) - 1.
 
-    Horner over the digits keeps everything in integers:
-    v accumulates sum a_i p^i q^(L-1-i).
+    v = sum a_i p^i q^(L-1-i) is built k digits per step from the base's
+    table of block values (see the module notes), all in integers.
     """
     _check_digits(w, base)
-    p, q = base.p, base.q
+    k, pk, qk, table = base.block_values
+    pad = -len(w) % k
+    w = "0" * pad + w
     v = 0
-    qk = 1
-    for ch in w:
-        v = p * v + int(ch) * qk
-        qk *= q
-    return v, len(w) - 1
+    qi = 1                                  # q^i, i the position of the block
+    for i in range(0, len(w), k):
+        v = v * pk + table[w[i:i + k]] * qi
+        qi *= qk
+    return v // base.q**pad, len(w) - pad - 1
 
 
 def evaluate(w: str, base: RationalBase = BASE_3_2) -> Fraction:
@@ -174,18 +207,19 @@ def add_two(w: str) -> str:
 
 
 def from_decimal(text: str) -> int:
-    """int(text) for a decimal numeral of any length.
+    """The integer a decimal numeral of any length stands for.
 
-    A numeral longer than 4000 characters (an optional sign, then ASCII
-    digits) is read in halves until each piece fits one int() call.
+    A numeral is ASCII digits after an optional sign, with whitespace around
+    it, at every length: int()'s underscores and non-ASCII digits are
+    refused.  Digits past 4000 are read in halves until each piece fits one
+    int() call.
     """
-    if len(text) <= _DIGIT_CHUNK:
-        return int(text)
     body = text.strip()
     sign = body[:1] if body[:1] in ("+", "-") else ""
     digits = body[len(sign):]
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid decimal numeral of {len(text)} characters")
+        shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+        raise ValueError(f"invalid decimal numeral {shown}")
     value = _read_int(digits, 10)
     return -value if sign == "-" else value
 

@@ -18,15 +18,18 @@ far the sweep reaches; a failing block reports the first counterexample in
 the order of the per-case scan, and the same count of cases up to it.  The
 greedy row checks take a whole row's pairs at once, in that order too,
 as one square matrix per row: verify sieves below 3^9, where a row has at
-most 512 terms, 130,816 pairs.
+most 512 terms, 130,816 pairs.  numpy is imported inside the functions
+that use it, so importing this module (and the package, and the CLI)
+does not load it.
 
 The suites share no state, so `run_suite` runs several of them side by
 side, in forked worker processes, theorem1 first, and gathers their
 results in suite order: the report is the same as from one process.  The
 workers are forked because a forked child runs the parent's code as it
 stands, replaced attributes included (the tests swap functions for
-mutants), and re-imports nothing; a spawned child would re-import numpy
-and the package, about 80 ms each, and lose the replacements.
+mutants), and re-imports nothing.  `run_suite` loads numpy before it
+forks, so each worker has it already; a spawned child would import the
+package and numpy anew, about 80 ms, and lose the replacements.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import fractal, greedy, grid, radix, refdata, witness
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_VALUE = 3**12          # 531441
 DEFAULT_MAX_ROWS = 500
@@ -173,6 +177,8 @@ def _scan_blocks(name: str, blocks: Iterable[tuple[int, str]]) -> CheckResult:
 def _block(ok: np.ndarray, fault) -> tuple[int, str]:
     """One block's (count, counterexample) from its mask of cases that hold;
     fault(i) describes case i."""
+    import numpy as np
+
     bad = np.flatnonzero(~ok)
     if bad.size:
         return int(bad[0]) + 1, fault(int(bad[0]))
@@ -208,6 +214,8 @@ def _digit_values(strings: list[str], p: int, q: int, width: int) -> tuple[np.nd
     weights q^i p^(width-1-i).  A string is well-formed if it is canonical,
     has at most `width` digits and every digit lies in 0..p-1.
     """
+    import numpy as np
+
     weights = [q**i * p ** (width - 1 - i) for i in range(width)]
     assert (p - 1) * sum(weights) < 2**63, f"{width} digits in base {p}/{q} overflow int64"
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
@@ -249,6 +257,8 @@ def _round_trip(count: int) -> CheckResult:
 
     The value comes from the digits alone: V = n * q^(W-1), W the longest string of the block.
     """
+    import numpy as np
+
     def blocks():
         for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
             for ns in _blocks_of(range(count)):
@@ -302,6 +312,8 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     sieves below 3^9, where the largest row, row 0, has 512 terms: a 512 x
     512 matrix of 130,816 pairs.  Values stay below 2 * limit, so int32.
     """
+    import numpy as np
+
     limit = part.bound
     owner = np.full(2 * limit, -1, dtype=np.int32)    # row of each value; every c < 2 * limit
     for j, terms in enumerate(part.rows):
@@ -789,8 +801,12 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
     t0 = time.perf_counter()
     if workers > 1:
         import concurrent.futures
+        import importlib
         import multiprocessing
 
+        # the radix and greedy checks use numpy: loaded here once, the
+        # workers have it from the fork and none loads it again
+        importlib.import_module("numpy")
         # multiprocessing flushes the standard streams before each fork,
         # so what is buffered now is not written again by a worker
         with concurrent.futures.ProcessPoolExecutor(

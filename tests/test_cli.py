@@ -443,3 +443,49 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0 and out.stdout.strip() == "22"
+
+
+def test_convert_refuses_numerals_int_would_read(capsys):
+    for argv in (["--value", "1_000"], ["--value", "١٢"], ["--base", "1_0", "--value", "5"],
+                 ["--base", "٣/٢", "--value", "5"]):
+        code, out, err = run_cli(capsys, "convert", *argv)
+        assert (code, out) == (2, "") and "invalid decimal numeral" in err, argv
+
+
+# runs in a fresh interpreter: the test process has numpy loaded already
+NUMPY_FREE_START = """
+import contextlib, io, sys
+import stanleygrid
+from stanleygrid import cli, fractal, greedy, grid, radix, verify, witness
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+run("convert", "--value", "12")
+run("convert", "--base", "5/3", "--from-digits", "4321")
+run("grid", "--rows", "6", "--cols", "4", "--format", "json")
+run("witness", "11102010220102110110011000", "--target-row", "1")
+run("render", "--levels", "2", "--rows", "6", "--cols", "8")
+run("render", "--format", "ascii")
+by_grid = run("sequence", "--row", "1", "--limit", "84", "--method", "grid")
+run("cross", "--count", "12", "--method", "grid")
+print("numpy" in sys.modules)
+by_sieve = run("sequence", "--row", "1", "--limit", "84", "--method", "greedy")
+print("numpy" in sys.modules)
+print(by_sieve == by_grid)
+sys.stdout.write(by_sieve)
+"""
+
+
+def test_start_up_and_point_commands_do_not_load_numpy():
+    run = subprocess.run([sys.executable, "-c", NUMPY_FREE_START], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    # numpy only once the sieve runs; the sieve's row is row 1 below 84, as the grid has it
+    assert lines[:3] == ["False", "True", "True"]
+    assert lines[3:] == [str(v) for v in (2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45,
+                                          54, 83)]

@@ -1,5 +1,7 @@
 """Digit-level arithmetic in base p/q."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -173,7 +175,7 @@ def test_decimal_conversion_past_the_int_str_limit():
 
 
 def test_decimal_conversion_keeps_short_numbers_as_int_and_str_do():
-    for text in ("0", "12", " 7 ", "+5", "-3", "1_000", "9" * 4000):
+    for text in ("0", "12", " 7 ", "+5", "-3", "9" * 4000):
         assert from_decimal(text) == int(text)
     for n in (0, 5, -5, 10**3999):
         assert to_decimal(n) == str(n)
@@ -181,6 +183,27 @@ def test_decimal_conversion_keeps_short_numbers_as_int_and_str_do():
         from_decimal("12x")
     with pytest.raises(ValueError):
         from_decimal("1" * 4000 + "x")
+
+
+# underscores and non-ASCII digits, which int() reads, at 5 and at 5000+ characters
+NOT_NUMERALS = ["1_000", "\u0661\u0662\u0663\u0664\u0665",
+                "1_0" * 2001, "\u0661" * 5001, "9" * 4999 + "\u0662"]
+
+
+@pytest.mark.parametrize("text", NOT_NUMERALS, ids=["_5", "arabic_5", "_6003", "arabic_5001",
+                                                    "tail_5000"])
+def test_decimal_numerals_are_ascii_digits_at_every_length(text):
+    with pytest.raises(ValueError, match="invalid decimal numeral"):
+        from_decimal(text)
+    # ASCII digits of the same length, with a sign and whitespace around, are read
+    assert from_decimal(" -" + "7" * len(text) + "\n") == -7 * (10 ** len(text) - 1) // 9
+
+
+def test_base_parse_reads_p_and_q_as_decimal_numerals():
+    assert RationalBase.parse(" 3 / 2 ") == BASE_3_2
+    for text in ("1_0", "3/\u0662", "\u0663/2"):
+        with pytest.raises(ValueError, match="invalid decimal numeral"):
+            RationalBase.parse(text)
 
 
 # each base with the k digits of its block: the largest k with p^k <= 1024
@@ -215,6 +238,29 @@ def test_block_table_entries_are_k_one_digit_steps(base, k):
         digits, left = one_digit_steps(r, base, k)
         assert entry == ("".join(reversed(digits)), left)
         assert left < qk
+
+
+def horner_value(w, base):
+    """(v, e) of scaled_value one digit at a time, kept as its reference."""
+    v = 0
+    for i, ch in enumerate(w):
+        v = base.p * v + int(ch) * base.q**i
+    return v, len(w) - 1
+
+
+@pytest.mark.parametrize("base,k", BLOCK_BASES, ids=[str(b) for b, _ in BLOCK_BASES])
+def test_scaled_value_matches_horner(base, k):
+    alphabet = "0123456789"[:base.p]
+    # every string of up to k + 2 digits (capped at 4096 of each length): all
+    # paddings, one and two blocks
+    for length in range(1, k + 3):
+        for digits in itertools.islice(itertools.product(alphabet, repeat=length), 4096):
+            w = "".join(digits)
+            assert scaled_value(w, base) == horner_value(w, base), w
+    rng = random.Random(k)
+    long = "".join(rng.choice(alphabet) for _ in range(5003))
+    assert scaled_value(long, base) == horner_value(long, base)
+    assert len(base.block_values[3]) == base.p**k
 
 
 # about 2,000 decimal digits each

@@ -626,3 +626,25 @@ def test_row_checks_are_pinned_at_3_to_the_9(n, row, ap, skips):
     got_ap, got_skips = verify._row_checks(part if n is None else moved(part, n, row))
     assert outcome(got_ap) == ap
     assert skips is None or outcome(got_skips) == skips
+
+
+def test_the_workers_fork_after_numpy_is_loaded():
+    # a fresh interpreter, where importing the package has not loaded numpy
+    script = """
+import concurrent.futures, os, sys
+from stanleygrid import verify
+os.sched_getaffinity = lambda pid: {0, 1}
+real = concurrent.futures.ProcessPoolExecutor
+loaded = []
+def spy(*args, **kwargs):
+    loaded.append("numpy" in sys.modules)
+    return real(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = spy
+print("numpy" in sys.modules)
+report = verify.run_suite("all", *map(int, sys.argv[1:]))
+print(loaded, report.processes, report.passed)
+"""
+    run = subprocess.run([sys.executable, "-c", script, "2187", "20"], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False", "[True] 2 True"]
