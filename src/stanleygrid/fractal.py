@@ -20,7 +20,9 @@ runs the same nesting on values, listing a row's base-3 values without
 building its cells.  verify's fractal suite checks the two facts the
 paper's column-0 argument rests on with locate and row_values_below:
 decrementing a numeral drops its row by at most one, and cell (i, 0)
-holds the smallest value of row i.
+holds the smallest value of row i.  The first, the decrement lemma, it
+also checks at every length, on grid's one-digit step: witness's
+peculiar step relies on it.
 """
 
 from __future__ import annotations

@@ -74,9 +74,10 @@ class RationalBase:
 
     @classmethod
     def parse(cls, text: str) -> "RationalBase":
-        """Parse "3/2" or "3" into a RationalBase; p and q are read by from_decimal."""
-        p, _, q = text.partition("/")
-        return cls(from_decimal(p), from_decimal(q) if q else 1)
+        """Parse "3/2" or "3" into a RationalBase; p and q are read by from_decimal,
+        so an empty side, as in "3/" or "/2", is refused."""
+        p, slash, q = text.partition("/")
+        return cls(from_decimal(p), from_decimal(q) if slash else 1)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)

@@ -103,14 +103,16 @@ class VerificationReport:
 def resolve_caps() -> tuple[int, int]:
     """Current (max_value, max_rows) caps; STANLEY_GRID_CAP overrides.
 
-    The env var is either "VALUE" or "VALUE,ROWS"; anything else, or a cap
-    below 1, raises ValueError.
+    The env var is either "VALUE" or "VALUE,ROWS", each a numeral that
+    radix.from_decimal reads; anything else, or a cap below 1, raises
+    ValueError.
     """
     raw = os.environ.get(CAP_ENV_VAR, "").strip()
     if not raw:
         return DEFAULT_MAX_VALUE, DEFAULT_MAX_ROWS
+    read = radix.from_decimal
     try:
-        value, rows = map(int, raw.split(",")) if "," in raw else (int(raw), DEFAULT_MAX_ROWS)
+        value, rows = map(read, raw.split(",")) if "," in raw else (read(raw), DEFAULT_MAX_ROWS)
     except ValueError:
         raise ValueError(f"cannot parse {CAP_ENV_VAR}={raw!r}; use VALUE or VALUE,ROWS") from None
     if value < 1 or rows < 1:
@@ -566,6 +568,7 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
             prev, row = row, fractal.locate(w).row
             yield "" if prev >= row - 1 else f"{v} ({w}) sits in row {row}, {v - 1} in row {prev}"
     out.append(_scan("decrement-drops-at-most-one-row", decrements()))
+    out.append(_decrement_lemma())
 
     def column_0():
         prev = -1
@@ -579,6 +582,44 @@ def suite_fractal(max_value: int, max_rows: int) -> list[CheckResult]:
             prev = v
     out.append(_scan("column-0-minimal-and-increasing", column_0()))
     return out
+
+
+def _decrement_lemma() -> CheckResult:
+    """row(x - 1) >= row(x) - 1 for every numeral x > 0, read off grid._step.
+
+    Write x = P e 0^k with e = 1 or 2, so x - 1 = P (e-1) 2^k, and walk both
+    from P's cell.  Digit g takes row p to 3 (p // 2) + r(p % 2, g), with r
+    read from _step in rows 0 and 1, so a step takes
+    delta = row(x - 1) - row(x) to 3 (delta - b' + b) / 2 + r(b', g') - r(b, g),
+    where b and b' are the parities of row(x) and row(x - 1).  The state is delta and b, which
+    gives b'; the next b depends on a higher bit of the row, so both are
+    tried, and the states reached cover every P.  The first step reads e
+    against e - 1 from a prefix row of either parity, each later one 0
+    against 2.  Each r lies in 0..2, so delta' >= 1.5 delta - 3.5 > delta
+    once delta > 7: the walk stops expanding there.  `checked` counts the
+    states reached.
+    """
+    def r(b: int, g: int) -> int:
+        return grid._step(b, 0, g)[0]
+
+    # (delta, b) -> (the prefix row's parity, e, k) of the first x that reaches it
+    reached: dict[tuple[int, int], tuple[int, int, int]] = {}
+    queue = [((r(b0, e - 1) - r(b0, e), b), (b0, e, 0))
+             for b0 in (0, 1) for e in (1, 2) for b in (0, 1)]
+    for state, (b0, e, k) in queue:            # the queue grows as it is read
+        if state in reached:
+            continue
+        reached[state] = b0, e, k
+        delta, b = state
+        if delta < -1:
+            return _result("decrement-lemma-at-every-length", False, len(reached),
+                           f"x = P {e} 0^{k}, x - 1 = P {e - 1} 2^{k}, P in an "
+                           f"{'odd' if b0 else 'even'} row: row(x - 1) - row(x) may be {delta}")
+        if delta <= 7:
+            b1 = (b + delta) & 1
+            after = 3 * (delta - b1 + b) // 2 + r(b1, 2) - r(b, 0)
+            queue += [((after, b2), (b0, e, k + 1)) for b2 in (0, 1)]
+    return _result("decrement-lemma-at-every-length", True, len(reached))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +679,7 @@ def suite_witness(max_value: int) -> list[CheckResult]:
         for w, j in (("1", 0), ("2", 1), ("0", 0)))))
 
     out.append(_witness_steps())
+    out.append(_witness_loop())
     return out
 
 
@@ -673,6 +715,45 @@ def _witness_steps() -> CheckResult:
         return "" if got == best else f"step {key} -> {step} is not the smallest allowed {best}"
     return _scan("witness-steps-follow-the-digit-rules",
                  itertools.starmap(fault, witness._STEPS.items()))
+
+
+def _witness_loop() -> CheckResult:
+    """witness._construct's loop ends with the prefix in the target row and c < d.
+
+    Write p for the prefix's row, t for the target row, s = 1 while the
+    shape is shifted, g = p - t - s, and sign for the sign of d_d - c_d at
+    the latest step that appended unequal digits (0 before any).  The
+    invariant is h = g - [s = 0 and sign <= 0] >= 0.  It holds on entry,
+    where row(x) > j.  The loop exits at s = 0 and p <= t, so there h >= 0
+    gives p = t and sign = +1: c < d, since the latest step appends the
+    leading digits of the tails.  With witness-steps-follow-the-digit-rules
+    that makes c < d < x an AP in row j.
+
+    A step, read through grid._zoom and _STEPS as _FUSED is built, takes p
+    to 2 (p // 3) + offset and t = 3a + r to 2a + bit; a peculiar step may
+    lose one more row, by the decrement lemma.  One more a adds 2 to both
+    rows, so a = 0 suffices, and adding 3 to g adds 2 to g', so g < 6
+    covers every g.  The cases are every state the loop steps from (s = 1,
+    or s = 0 and g > 0), with each column bit and sign.
+    """
+    shapes = witness._SHAPES
+
+    def cases():
+        for s, r, g in itertools.product((0, 1), range(3), range(6)):
+            if not (s or g):                   # p = t: the loop has stopped
+                continue
+            for b in (0, 1):
+                offset, _, e = grid._zoom((g + r + s) % 3, b)
+                key = (shapes[s], r, "012"[e])
+                tag, shape2, bit, c_d, d_d = step = witness._STEPS[key]
+                s2 = shapes.index(shape2)
+                g2 = 2 * ((g + r + s) // 3) + offset - bit - s2 - (tag == witness.TAG_PECULIAR)
+                for sign in (-1, 0, 1):
+                    sign2 = (d_d > c_d) - (d_d < c_d) or sign     # unequal digits set it
+                    h2 = g2 - (not s2 and sign2 <= 0)
+                    yield "" if h2 >= 0 else (f"step {key} -> {step} from g = {g}, "
+                                              f"sign {sign} leaves h = {h2}")
+    return _scan("witness-loop-ends-in-the-target-row", cases())
 
 
 # ---------------------------------------------------------------------------

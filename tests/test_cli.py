@@ -363,7 +363,7 @@ def test_verify_refuses_before_any_suite_runs(capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("env", ["abc", "5,x", "0", "100,0", "1,2,3"])
+@pytest.mark.parametrize("env", ["abc", "5,x", "0", "100,0", "1,2,3", "5_0", "100,1_0", "\u0665"])
 def test_malformed_cap_override_is_a_usage_error(capsys, monkeypatch, env):
     monkeypatch.setenv("STANLEY_GRID_CAP", env)
     code, out, err = run_cli(capsys, "sequence", "--row", "0", "--limit", "5")
@@ -447,9 +447,24 @@ def test_console_entry_point():
 
 def test_convert_refuses_numerals_int_would_read(capsys):
     for argv in (["--value", "1_000"], ["--value", "١٢"], ["--base", "1_0", "--value", "5"],
-                 ["--base", "٣/٢", "--value", "5"]):
+                 ["--base", "٣/٢", "--value", "5"], ["--base", "3/", "--value", "5"],
+                 ["--base", "/2", "--value", "5"]):
         code, out, err = run_cli(capsys, "convert", *argv)
         assert (code, out) == (2, "") and "invalid decimal numeral" in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("sequence", "--row", "1_0", "--limit", "10"),
+    ("sequence", "--row", "0", "--limit", "\u0661\u0660"),
+    ("cross", "--count", "\u0663"),
+    ("verify", "--suite", "refdata", "--max-value", "1_000"),
+    ("grid", "--rows", "2", "--cols", "2_0"),
+    ("witness", "212", "--target-row", "\u0660"),
+    ("render", "--levels", "1_0"),
+])
+def test_integer_options_refuse_numerals_int_would_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "invalid from_decimal value" in err, argv
 
 
 # runs in a fresh interpreter: the test process has numpy loaded already

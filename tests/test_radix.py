@@ -201,7 +201,7 @@ def test_decimal_numerals_are_ascii_digits_at_every_length(text):
 
 def test_base_parse_reads_p_and_q_as_decimal_numerals():
     assert RationalBase.parse(" 3 / 2 ") == BASE_3_2
-    for text in ("1_0", "3/\u0662", "\u0663/2"):
+    for text in ("1_0", "3/\u0662", "\u0663/2", "3/", "/2", "/"):
         with pytest.raises(ValueError, match="invalid decimal numeral"):
             RationalBase.parse(text)
 

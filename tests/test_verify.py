@@ -44,17 +44,19 @@ ok   zoom-rejects-bad-shapes (checked 1)
 ok   prefix-loses-one-digit-per-level (checked 576)
 ok   traversal-counts-in-ternary (checked 2187)
 ok   decrement-drops-at-most-one-row (checked 2186)
+ok   decrement-lemma-at-every-length (checked 28)
 ok   column-0-minimal-and-increasing (checked 20)
 ok   26-digit-example (checked 1)
 ok   all-exclusions-have-witnesses (checked 20611)
 ok   decompose-reassembles (checked 602)
 ok   rejects-impossible-targets (checked 3)
 ok   witness-steps-follow-the-digit-rules (checked 18)
+ok   witness-loop-ends-in-the-target-row (checked 198)
 ok   bundled-bfiles-load (checked 4)
 ok   bfile-parser (checked 2)
 ok   first-terms-read-down-column-0 (checked 20)
 ok   rows-equal-grid-value-sets (checked 28)
-suite all: PASS (36/36 checks)
+suite all: PASS (38/38 checks)
 """
 
 
@@ -75,7 +77,7 @@ def test_timings_give_one_stderr_line_per_check(capsys):
     assert code == 0 and out == SMALL_REPORT
     checks = [ln.split()[1] for ln in out.splitlines()[:-1]]
     lines = err.splitlines()
-    assert len(checks) == 36 and len(lines) == 37
+    assert len(checks) == 38 and len(lines) == 39
     times = [re.fullmatch(rf"check {re.escape(name)} took (\d+\.\d{{3}})s", ln)
              for name, ln in zip(checks, lines)]
     assert all(times), lines
@@ -282,6 +284,11 @@ MUTANTS = [
      "traversal-counts-in-ternary", 3, "entry 2: shares a level-0 halfZ with its predecessor"),
     ("fractal", fractal, "ternary_successor", wrong_on(("2",), ("10", 0)),
      "traversal-counts-in-ternary", 4, "entry 3: not in one level-0 halfZ"),
+    # digit 2 after an odd row leads to digit 0's cell, one row up: from an even prefix
+    # row, P 2 lands a row below P 1, and then P 2 0 two rows below P 1 2.  Only the
+    # lemma reads _step at call time; the grid's tables were built from the real one
+    ("fractal", grid, "_step", wrong_on((1, 0, 2), (1, 1)), "decrement-lemma-at-every-length",
+     7, "x = P 2 0^1, x - 1 = P 1 2^1, P in an even row: row(x - 1) - row(x) may be -2"),
     # "21", "22", "121", "122" are the strings below row 2 that come first
     ("witness", witness, "decompose", wrong_on(("201",), ("2", "0", "0")),
      "decompose-reassembles", 5, "decompose(201) = ('2', '0', '0')"),
@@ -323,6 +330,15 @@ MUTANTS = [
      "witness-steps-follow-the-digit-rules", 7,
      "step ('standard', 2, '0') -> ('peculiar', 'standard', 1, '1', '2') "
      "is not the smallest allowed (0, 0, 1, 2, 1)"),
+    # a row-3a target over a stripped 0 moves to row 2a + 1, not 2a.  From g = 1 with
+    # c > d so far, (p % 3, q % 2) = (1, 1) strips that 0 and the loop stops in the target
+    # row, c > d: the 4th case, after the three signs at (1, 0)
+    ("witness", witness, "_STEPS",
+     replacing((witness._STANDARD, 0, "0"),
+               (witness.TAG_APPEND_EVEN, witness._STANDARD, 1, "0", "0")),
+     "witness-loop-ends-in-the-target-row", 4,
+     "step ('standard', 0, '0') -> ('append-0mod3', 'standard', 1, '0', '0') "
+     "from g = 1, sign -1 leaves h = -1"),
     # A024629 is the second bundled sequence; its b-file starts at index 0
     ("refdata", refdata, "bundled",
      wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
@@ -382,6 +398,19 @@ def test_every_check_has_a_mutant():
     assert {ln.split()[1] for ln in SMALL_REPORT.splitlines()[:-1]} == {m[4] for m in MUTANTS}
 
 
+def test_a_step_the_loop_check_refutes_also_fails_the_exclusion_check(monkeypatch):
+    # witness() runs _FUSED, built from _STEPS at import, so rebuild it from the mutant
+    # table: (20)_3 = 6 then comes out of the loop with c = d, as the loop check predicts
+    key = (witness._STANDARD, 0, "0")
+    monkeypatch.setitem(witness._STEPS, key, (witness.TAG_APPEND_EVEN, witness._STANDARD, 1, "0", "0"))
+    fused = itertools.product(witness._SHAPES, range(3), range(3), range(2))
+    monkeypatch.setattr(witness, "_FUSED", tuple(itertools.starmap(witness._fused_step, fused)))
+    failed = {r.name: (r.checked, r.detail)
+              for r in verify.run_suite("witness", max_value=2187).results if not r.passed}
+    assert failed["all-exclusions-have-witnesses"] == (3, "witness(20, 0) gave 20, 20")
+    assert "witness-loop-ends-in-the-target-row" in failed
+
+
 def test_a_sieve_that_opens_too_few_rows_fails_every_check_that_reads_its_rows(
         monkeypatch, capsys):
     monkeypatch.setattr(greedy, "build_partition", SHORT_SIEVE(greedy.build_partition))
@@ -400,7 +429,7 @@ def test_a_passing_json_report_has_no_details(capsys):
                      "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["passed"]
-    assert [c["detail"] for c in doc["checks"]] == [""] * 36
+    assert [c["detail"] for c in doc["checks"]] == [""] * 38
 
 
 @pytest.mark.parametrize("row", [m for m, name in zip(MUTANTS, _mutant_ids())
@@ -446,7 +475,6 @@ def test_without_fork_the_suites_run_in_this_process(monkeypatch, capsys):
 
 
 EXCEPTIONS = [
-    witness.ConstructionError("boom", ["keep-0"]),
     witness.NotApplicableError("x lies in row 0"),
     greedy.InsufficientRangeError("bound 10 too small", required_bound=27),
     verify.CapExceededError("--max-value is 10, beyond cap 5"),
@@ -464,17 +492,18 @@ def test_exceptions_cross_a_process_boundary(exc):
     assert (str(got), vars(got)) == (str(exc), vars(exc))
 
 
-def test_a_construction_error_in_a_worker_exits_as_in_one_process(monkeypatch, capsys):
+def test_an_error_in_a_worker_exits_as_in_one_process(monkeypatch, capsys):
     def broken(max_value):
-        raise witness.ConstructionError("boom", ["keep-0"])
+        raise greedy.InsufficientRangeError("bound 10 too small", required_bound=27)
     monkeypatch.setattr(verify, "suite_witness", broken)
     outcomes = []
     for suite in ("witness", "all"):
         code = cli.main(["verify", "--suite", suite, *SMALL])
         outcomes.append((code, capsys.readouterr().err))
-    assert outcomes == [(cli.EXIT_VERIFY_FAILED, "error: boom (trace: keep-0)\n")] * 2
+    assert outcomes == [(cli.EXIT_BOUND,
+                         "error: bound 10 too small (a bound of 27 suffices)\n")] * 2
     # a run in which a suite raises leaves no worker behind
-    with pytest.raises(witness.ConstructionError):
+    with pytest.raises(greedy.InsufficientRangeError):
         verify.run_suite("all", max_value=2187, max_rows=20)
     assert not multiprocessing.active_children()
 
