@@ -37,7 +37,6 @@ from .witness import (
     NotApplicableError,
     WitnessPair,
     decompose,
-    witness_oracle,
 )
 
 __version__ = "0.1.0"

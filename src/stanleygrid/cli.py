@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import fractal, greedy, grid, radix, render, verify, witness
+from . import fractal, greedy, grid, radix, verify, witness
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -126,12 +126,21 @@ def cmd_witness(args) -> int:
 
 def cmd_render(args) -> int:
     _check_window_cap(args.rows, args.cols)
+    from . import render               # here, not at the top: only this command draws
     if args.format == "ascii":
         text = render.render_ascii(args.levels, args.rows, args.cols)
     else:
         text = render.render_svg(args.levels, args.rows, args.cols)
     _write_out(text, args.output)
     return EXIT_OK
+
+
+def _numeral(text: str) -> int:
+    """radix.from_decimal as an argparse type: a refused numeral is reported in its words."""
+    try:
+        return radix.from_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,44 +158,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("sequence", help="one row of the partition, by sieve or by grid")
-    p.add_argument("--row", type=radix.from_decimal, required=True)
-    p.add_argument("--limit", type=radix.from_decimal, required=True, help="exclusive value bound")
+    p.add_argument("--row", type=_numeral, required=True)
+    p.add_argument("--limit", type=_numeral, required=True, help="exclusive value bound")
     p.add_argument("--method", choices=("greedy", "grid"), default="greedy")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sequence)
 
     p = sub.add_parser("cross", help="first term of each row")
-    p.add_argument("--count", type=radix.from_decimal, required=True)
+    p.add_argument("--count", type=_numeral, required=True)
     p.add_argument("--method", choices=("greedy", "grid", "both"), default="both")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cross)
 
     p = sub.add_parser("verify", help="run self-verification suites")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
-    p.add_argument("--max-value", type=radix.from_decimal, default=None)
-    p.add_argument("--max-rows", type=radix.from_decimal, default=None)
+    p.add_argument("--max-value", type=_numeral, default=None)
+    p.add_argument("--max-rows", type=_numeral, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="print each check's duration, then the total, to stderr")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("grid", help="print a top-left window of the grid")
-    p.add_argument("--rows", type=radix.from_decimal, required=True)
-    p.add_argument("--cols", type=radix.from_decimal, required=True)
+    p.add_argument("--rows", type=_numeral, required=True)
+    p.add_argument("--cols", type=_numeral, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("witness", help="why a numeral was pushed past a row")
     p.add_argument("x", help="base-3 numeral")
-    p.add_argument("--target-row", type=radix.from_decimal, required=True)
+    p.add_argument("--target-row", type=_numeral, required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("render", help="draw the nested triple structure")
-    p.add_argument("--levels", type=radix.from_decimal, default=1)
-    p.add_argument("--rows", type=radix.from_decimal, default=18)
-    p.add_argument("--cols", type=radix.from_decimal, default=16)
+    p.add_argument("--levels", type=_numeral, default=1)
+    p.add_argument("--rows", type=_numeral, default=18)
+    p.add_argument("--cols", type=_numeral, default=16)
     p.add_argument("--format", choices=("svg", "ascii"), default="svg")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_render)

@@ -4,8 +4,7 @@ If the base-3 numeral x sits in grid row r, then for every target row
 j < r there are strings c <= d whose cells lie in row j with
 [d]_3 - [c]_3 = [x]_3 - [d]_3: the 3-term progression that forced the
 greedy sieve to push [x]_3 past row j.  This module constructs such a
-pair digit by digit and exposes an independent brute-force oracle, which
-scans a sieved row and serves the tests as reference.
+pair digit by digit.
 
 The construction is one step table, _STEPS.  Each step strips the last
 digit of x, which maps a row-(3a+r) target onto row 2a or 2a+1, and
@@ -31,9 +30,8 @@ import json
 from dataclasses import dataclass
 
 from .fractal import locate
-from .greedy import GreedyPartition, InsufficientRangeError
 from .grid import GridCoord, _coord_of, _is_ternary, _zoom
-from .radix import BASE_3, _read_int, canonicalize, represent, to_decimal
+from .radix import _read_int, canonicalize, to_decimal
 
 
 class NotApplicableError(ValueError):
@@ -116,29 +114,6 @@ def witness(x: str, j: int) -> tuple[WitnessPair, list[str]]:
     trace: list[str] = []
     c, d = _construct(x, at, j, trace)
     return WitnessPair(x=x, target_row=j, c=c, d=d), trace
-
-
-def witness_oracle(x: str, j: int, partition: GreedyPartition) -> WitnessPair | None:
-    """Brute-force witness: scan row j of a sieved partition directly.
-
-    Returns the pair with the smallest d (then smallest c), or None if the
-    row holds no witnesses below the partition bound.
-    """
-    _require_above(x, j)
-    v = _read_int(x, 3)
-    if v >= partition.bound:
-        raise InsufficientRangeError(
-            f"[x]_3 = {v} is outside the sieved range [0, {partition.bound})",
-            required_bound=v + 1,
-        )
-    row = partition.row(j)
-    members = set(row)
-    for b in row:
-        if 2 * b >= v and b < v and (2 * b - v) in members:
-            return WitnessPair(
-                x=x, target_row=j, c=represent(2 * b - v, BASE_3), d=represent(b, BASE_3)
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
+from conftest import witness_oracle
 from stanleygrid import fractal, greedy, grid, radix, verify
-from stanleygrid.witness import witness, witness_oracle
+from stanleygrid.witness import witness
 
 
 def _report(ok: bool, label: str) -> None:

@@ -298,12 +298,12 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
-    from stanleygrid import verify as vmod
+    from stanleygrid import checks
 
     def fake_suite():
-        return [vmod.CheckResult(name="always-wrong", passed=False, checked=1, detail="boom")]
+        return [checks.CheckResult(name="always-wrong", passed=False, checked=1, detail="boom")]
 
-    monkeypatch.setattr(vmod, "suite_refdata", fake_suite)
+    monkeypatch.setattr(checks, "suite_refdata", fake_suite)
     code, out, _ = run_cli(capsys, "verify", "--suite", "refdata")
     assert code == 1 and "FAIL" in out
 
@@ -354,10 +354,10 @@ def test_verify_obeys_the_caps(capsys, monkeypatch, env, flag, value, pinned):
 
 
 def test_verify_refuses_before_any_suite_runs(capsys, monkeypatch):
-    from stanleygrid import verify as vmod
+    from stanleygrid import checks
 
     calls = []
-    monkeypatch.setattr(vmod, "suite_radix", lambda mv: calls.append(mv) or [])
+    monkeypatch.setattr(checks, "suite_radix", lambda mv: calls.append(mv) or [])
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-rows", "300")
     assert_refused(code, out, err, "300 rows", "cap 531441")
     assert calls == []
@@ -464,7 +464,20 @@ def test_convert_refuses_numerals_int_would_read(capsys):
 ])
 def test_integer_options_refuse_numerals_int_would_read(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "") and "invalid from_decimal value" in err, argv
+    assert (code, out) == (2, "") and "invalid decimal numeral" in err, argv
+    assert "from_decimal" not in err, argv
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("sequence", "--row", "1_0", "--limit", "10"), "--row"),
+    (("verify", "--max-value", "1_0"), "--max-value"),
+])
+def test_a_refused_option_numeral_is_worded_as_for_convert(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument {option}: invalid decimal numeral '1_0'")
+    code, _, err = run_cli(capsys, "convert", "--value", "1_0")
+    assert (code, err) == (2, "error: invalid decimal numeral '1_0'\n")
 
 
 # runs in a fresh interpreter: the test process has numpy loaded already
@@ -504,3 +517,32 @@ def test_start_up_and_point_commands_do_not_load_numpy():
     assert lines[:3] == ["False", "True", "True"]
     assert lines[3:] == [str(v) for v in (2, 5, 6, 11, 14, 15, 18, 29, 32, 33, 38, 41, 42, 45,
                                           54, 83)]
+
+
+# runs in a fresh interpreter: the test process has loaded every module already
+LAZY_CHECKS_AND_RENDER = """
+import contextlib, io, sys
+import stanleygrid, stanleygrid.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert stanleygrid.cli.main(list(argv)) == 0, argv
+    print(*(f"stanleygrid.{m}" in sys.modules for m in ("checks", "render")))
+
+run("convert", "--value", "12")
+run("grid", "--rows", "6", "--cols", "4")
+run("witness", "11102010220102110110011000", "--target-row", "1")
+run("sequence", "--row", "1", "--limit", "84", "--method", "grid")
+run("sequence", "--row", "1", "--limit", "84", "--method", "greedy")
+run("cross", "--count", "12")
+run("render", "--format", "ascii")
+run("verify", "--suite", "grid")
+"""
+
+
+def test_only_verify_loads_the_checks_and_only_render_the_pictures():
+    run = subprocess.run([sys.executable, "-c", LAZY_CHECKS_AND_RENDER], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # (checks loaded, render loaded) after each command
+    assert run.stdout.splitlines() == ["False False"] * 6 + ["False True", "True True"]

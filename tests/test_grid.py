@@ -152,9 +152,9 @@ def test_coord_type():
 
 
 def test_suite_grid_judges_each_check_on_its_own(monkeypatch):
-    from stanleygrid import radix, verify
+    from stanleygrid import checks, radix
 
     monkeypatch.setattr(radix, "add_two", lambda w: w + "0")
-    results = {r.name: r.passed for r in verify.suite_grid()}
+    results = {r.name: r.passed for r in checks.suite_grid()}
     assert results["columns-follow-add-two"] is False
     assert results["strings-upto-len6-unique"] is True

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from stanleygrid import cli, fractal, greedy, grid, radix, refdata, verify, witness
+from stanleygrid import checks, cli, fractal, greedy, grid, radix, refdata, verify, witness
 
 SMALL_REPORT = """\
 ok   base32-prefix-vs-A024629 (checked 13)
@@ -439,7 +439,7 @@ def test_mutants_reach_the_worker_processes(monkeypatch, row):
     monkeypatch.setattr(module, fn, mutant(getattr(module, fn)))
     together = verify.run_suite("all", max_value=2187, max_rows=20)
     # one worker per CPU, and a run that reports a failing check leaves none behind
-    assert together.processes == min(len(os.sched_getaffinity(0)), len(verify._RUNNERS))
+    assert together.processes == min(len(os.sched_getaffinity(0)), len(checks._RUNNERS))
     assert not multiprocessing.active_children()
     alone = [r for s in verify.SUITES[:-1]
              for r in verify.run_suite(s, max_value=2187, max_rows=20).results]
@@ -495,7 +495,7 @@ def test_exceptions_cross_a_process_boundary(exc):
 def test_an_error_in_a_worker_exits_as_in_one_process(monkeypatch, capsys):
     def broken(max_value):
         raise greedy.InsufficientRangeError("bound 10 too small", required_bound=27)
-    monkeypatch.setattr(verify, "suite_witness", broken)
+    monkeypatch.setattr(checks, "suite_witness", broken)
     outcomes = []
     for suite in ("witness", "all"):
         code = cli.main(["verify", "--suite", suite, *SMALL])
@@ -538,9 +538,9 @@ def test_a_swapped_traversal_names_the_first_entry_out_of_order(monkeypatch):
      "breaks a digit rule"),
 ], ids=["not-the-smallest", "breaks-a-rule"])
 def test_witness_steps_check_names_the_wrong_step(monkeypatch, key, step, checked, why):
-    assert verify._witness_steps().checked == 18
+    assert checks._witness_steps().checked == 18
     monkeypatch.setitem(witness._STEPS, key, step)
-    got = verify._witness_steps()
+    got = checks._witness_steps()
     assert (got.passed, got.checked) == (False, checked)
     assert got.detail == f"step {key} -> {step} {why}"
 
@@ -560,7 +560,7 @@ def carry_faults(carry_length):
         else:
             ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
         return "" if ok and radix.is_canonical(w2) else f"add_two({w}) = {w2}"
-    return map(fault, verify._strings(carry_length))
+    return map(fault, checks._strings(carry_length))
 
 
 def round_trip_faults(count):
@@ -605,15 +605,15 @@ def outcome(result):
 
 
 def assert_row_checks_match(part):
-    ap, skips = verify._row_checks(part)
+    ap, skips = checks._row_checks(part)
     assert (ap.name, skips.name) == ("rows-are-3free", "skips-are-forced")
     assert outcome(ap) == per_case(ap_faults(part))
     assert outcome(skips) == per_case(skip_faults(part))
 
 
 def test_numpy_checks_match_the_per_case_scans_at_the_small_bound():
-    assert outcome(verify._carry_rule(7)) == per_case(carry_faults(7)) == (True, 2187, "")
-    assert outcome(verify._round_trip(2187)) == per_case(round_trip_faults(2187))
+    assert outcome(checks._carry_rule(7)) == per_case(carry_faults(7)) == (True, 2187, "")
+    assert outcome(checks._round_trip(2187)) == per_case(round_trip_faults(2187))
     assert_row_checks_match(greedy.build_partition(2187))
 
 
@@ -622,14 +622,14 @@ def test_numpy_checks_match_the_per_case_scans_at_the_small_bound():
 @pytest.mark.parametrize("w,checked", [("2122", 72), ("120000000", 10936), ("222222222", 19683)])
 def test_carry_rule_matches_the_per_case_scan_under_a_mutant(monkeypatch, w, checked):
     monkeypatch.setattr(radix, "add_two", wrong_on((w,), w)(radix.add_two))
-    got = outcome(verify._carry_rule(9))
+    got = outcome(checks._carry_rule(9))
     assert got == per_case(carry_faults(9)) == (False, checked, f"add_two({w}) = {w}")
 
 
 def test_round_trip_matches_the_per_case_scan_under_a_mutant(monkeypatch):
     base = radix.RationalBase(5, 3)
     monkeypatch.setattr(radix, "represent", wrong_on((99999, base), "1")(radix.represent))
-    got = outcome(verify._round_trip(100_000))
+    got = outcome(checks._round_trip(100_000))
     assert got == per_case(round_trip_faults(100_000)) == (False, 300_000, "99999 in base 5/3 is 1")
 
 
@@ -652,28 +652,45 @@ def test_row_checks_match_the_per_case_scans_on_a_moved_value(n, row):
 ], ids=["sieve", "19682-to-row-0", "19681-to-row-1"])
 def test_row_checks_are_pinned_at_3_to_the_9(n, row, ap, skips):
     part = greedy.build_partition(3**9)
-    got_ap, got_skips = verify._row_checks(part if n is None else moved(part, n, row))
+    got_ap, got_skips = checks._row_checks(part if n is None else moved(part, n, row))
     assert outcome(got_ap) == ap
     assert skips is None or outcome(got_skips) == skips
 
 
-def test_the_workers_fork_after_numpy_is_loaded():
-    # a fresh interpreter, where importing the package has not loaded numpy
-    script = """
+# a fresh interpreter, where importing the package has loaded neither numpy nor the
+# checks; prints whether `module` is loaded before the run, then at the pool's start
+FORK_SPY = """
 import concurrent.futures, os, sys
 from stanleygrid import verify
+module = sys.argv[1]
 os.sched_getaffinity = lambda pid: {0, 1}
 real = concurrent.futures.ProcessPoolExecutor
 loaded = []
 def spy(*args, **kwargs):
-    loaded.append("numpy" in sys.modules)
+    loaded.append(module in sys.modules)
     return real(*args, **kwargs)
 concurrent.futures.ProcessPoolExecutor = spy
-print("numpy" in sys.modules)
-report = verify.run_suite("all", *map(int, sys.argv[1:]))
+print(module in sys.modules)
+report = verify.run_suite("all", *map(int, sys.argv[2:]))
 print(loaded, report.processes, report.passed)
 """
-    run = subprocess.run([sys.executable, "-c", script, "2187", "20"], capture_output=True,
-                         text=True, timeout=120)
+
+
+def fork_spy(module):
+    run = subprocess.run([sys.executable, "-c", FORK_SPY, module, "2187", "20"],
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["False", "[True] 2 True"]
+    return run.stdout.splitlines()
+
+
+def test_the_workers_fork_after_numpy_is_loaded():
+    assert fork_spy("numpy") == ["False", "[True] 2 True"]
+
+
+def test_the_workers_fork_after_the_checks_are_loaded():
+    assert fork_spy("stanleygrid.checks") == ["False", "[True] 2 True"]
+
+
+def test_verify_names_the_suites_the_checks_run():
+    # argparse's choices read verify.SUITES; a suite added in one place only fails here
+    assert verify.SUITES[:-1] == tuple(checks._RUNNERS) and verify.SUITES[-1] == "all"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import witness_oracle
 from stanleygrid import grid
 from stanleygrid import witness as witness_module
 from stanleygrid.fractal import locate, ternary_successor
@@ -28,7 +29,6 @@ from stanleygrid.witness import (
     NotApplicableError,
     decompose,
     witness,
-    witness_oracle,
 )
 
 X26 = "11102010220102110110011000"
