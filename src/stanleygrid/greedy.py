@@ -6,24 +6,46 @@ Stanley sequence (integers with no 2 in base 3), row 1 starts 2, 5, 6, ...
 Row j is therefore the greedy 3-free sequence built from the values that
 rows 0..j-1 rejected: once rows 0..j-1 are known below a limit, row j below
 it is fixed, and no later row can change it.  So the sieve fills one row at
-a time through a single "forbidden" byte array, and sieve_row stops as soon
-as the row it was asked for is filled.
+a time through a "forbidden" byte array, and sieve_row stops as soon as the
+row it was asked for is filled.
 
-At the start of a row the array holds exactly the values earlier rows took;
-when n enters the row, every value 2*n - a (a already in the row) becomes
-forbidden, since a, n, 2n - a would be an AP.  The next candidate is then
-the first zero byte after n, found by bytearray.find; a mark 2m - a always
-lies above m, so a value once accepted is never marked.  The array is
-2*limit long, so every mark 2n - a (< 2n) lands inside it, and seen
-backwards it turns 2n - a into an offset plus a: one numpy scatter with the
-row's term buffer as the index array marks all of n's values at once.
+A row is scanned in steps over [x, hi).  At the start of a step the array
+holds, on [x, hi), 1 exactly at the values earlier rows took and at the
+row's own marks; when n enters the row, every value 2*n - a (a already in
+the row) becomes forbidden, since a, n, 2n - a would be an AP.  The next
+candidate is then the first zero byte after n, found by bytearray.find; a
+mark 2m - a always lies above m, so a value once accepted is never marked.
+The array is 2*limit long, so every mark 2n - a (< 2n) lands inside it, and
+seen backwards it turns 2n - a into an offset plus a: one numpy scatter with
+the row's term buffer as the index array marks all of n's values at once.
 numpy is imported inside the functions that sieve, so importing this module
 does not load it: only a sieve pays for numpy.
+
+Row j below hi depends only on rows 0..j-1 below hi, so from
+_TWO_PROCESSES_FROM values on two processes share the rows: a forked child
+fills the odd rows and this process the even ones, each row in _STEPS
+steps.  Before a step over [x, hi) of row j, a process waits until the
+other has finished that step of row j - 1; every value below hi that rows
+0..j-1 took then has its row.  The row of each value, and a byte per value
+taken, live in anonymous shared memory; each process keeps its own
+forbidden array and terms.  The processes report each finished step with
+one byte down a pipe, and end of file means the other process ended early.
+Alone, a process runs the same loop with one step per row.
+
+The two processes need a CPU each, and the scheduler does not give it to
+them: on the 2-vCPU host this was measured on, a forked child that starts
+busy stays on its parent's CPU for hundreds of ms, so two busy processes
+got about half a CPU each and the pipeline ran no faster than one process.
+So the calling thread is pinned to the first CPU it may use and the child
+to the rest, and the thread's CPUs are restored afterwards.  Only the
+process that imported this module forks: a forked worker of verify's pool
+already shares the CPUs with its siblings, so it sieves alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import bisect
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,6 +53,10 @@ from .radix import BASE_3_2, represent
 
 if TYPE_CHECKING:
     import numpy as np
+
+_TWO_PROCESSES_FROM = 30000   # values; below about this one process sieves as fast as two
+_STEPS = 8                    # steps per row when two processes share the rows
+_HOME = os.getpid()           # the process that imported this module; its forks sieve alone
 
 
 class InsufficientRangeError(ValueError):
@@ -81,21 +107,22 @@ def first_term_bound(count: int) -> int:
     return int(represent(2 * (count - 1), BASE_3_2), 3) + 1
 
 
-def _fill_row(forbidden: bytearray, n: int, terms: np.ndarray) -> list[int]:
-    """Fill the greedy 3-free row whose first term is n, and return its terms.
+def _extend_row(forbidden: bytearray, row: list[int], terms: np.ndarray, x: int, hi: int) -> None:
+    """Extend the greedy 3-free row `row` by every value in [x, hi) that it accepts.
 
-    forbidden is 2 * limit bytes and, from n up to limit, holds 1 exactly at
-    the values earlier rows took.  The row's marks are left in it and its
-    terms in terms[:len(row)].
+    forbidden is 2 * limit bytes and, on [x, hi), holds 1 exactly at the
+    values earlier rows took and at the row's own marks.  row lies below x
+    and its terms are also in terms[:len(row)]; each new term goes into both,
+    and its marks, up to 2 * limit, into forbidden.
     """
     import numpy as np
 
     limit = len(forbidden) // 2
     rev = np.frombuffer(forbidden, dtype=np.uint8)[::-1]   # forbidden[m] is rev[top - m]
     top = 2 * limit - 1
-    row: list[int] = []
-    s = 0                                   # terms[:s] now only mark at or above limit
-    k = 0
+    k = len(row)
+    s = bisect.bisect_right(row, 2 * x - limit)             # terms[:s] only mark at or above limit
+    n = forbidden.find(0, x, hi)
     while n >= 0:
         cut = 2 * n - limit
         while s < k and row[s] <= cut:
@@ -105,32 +132,155 @@ def _fill_row(forbidden: bytearray, n: int, terms: np.ndarray) -> list[int]:
         terms[k] = n
         row.append(n)
         k += 1
-        n = forbidden.find(0, n + 1, limit)
-    return row
+        n = forbidden.find(0, n + 1, hi)
 
 
-def _rows(limit: int) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Yield the rows below limit in order, each as its terms and their index array.
+class _Peer:
+    """The other sieve process, through a pipe each way: one byte per finished step."""
 
-    The index array is a view of a buffer the next row overwrites.
+    def __init__(self, read_fd: int, write_fd: int):
+        self.read_fd = read_fd
+        self.write_fd = write_fd
+        self.seen = 0                       # steps the other process has finished
+
+    def wait(self, steps: int) -> None:
+        """Block until the other process has finished `steps` steps in all."""
+        while self.seen < steps:
+            got = os.read(self.read_fd, 4096)
+            if not got:
+                raise RuntimeError("the other sieve process ended early")
+            self.seen += len(got)
+
+    def step_done(self) -> None:
+        os.write(self.write_fd, b"\0")
+
+
+def _fill_rows(assignment: np.ndarray, taken: np.ndarray, first: int, last: int,
+               peer: _Peer | None, rows: list[tuple[int, ...]] | None = None) -> None:
+    """Fill rows first, first + stride, ... up to last, or up to the first that never opens.
+
+    assignment holds the row of each value, -1 for none yet, and taken is 1
+    exactly where assignment is set; both receive each new term, and rows,
+    if given, each filled row.  Alone (no peer) this fills every row, each
+    in one step.  With a peer, which fills the rows in between, each row is
+    scanned in _STEPS steps, and a step over [x, hi) first waits for the
+    peer to finish that step of the row before: then every value below hi
+    that an earlier row took has its row.
     """
     import numpy as np
 
-    taken = np.zeros(limit, dtype=bool)
+    limit = len(assignment)
+    stride, steps = (1, 1) if peer is None else (2, _STEPS)
+    starts = range(0, limit, -(-limit // steps))            # where each step begins
     forbidden = bytearray(2 * limit)                        # every mark 2n - a < 2 * limit fits
     forbidden_np = np.frombuffer(forbidden, dtype=np.uint8)  # same memory, vectorized writes
     terms = np.empty(limit, dtype=np.int64)                 # the open row's terms
-    start = 0                                               # every value below is in a row
-    while True:
-        # Forbid what earlier rows took; this also wipes the last row's marks.
-        forbidden_np[start:limit] = taken[start:]
-        start = forbidden.find(0, start, limit)
-        if start < 0:
+    base = 0                                                # every value below is in an earlier row
+    for j in range(first, last + 1, stride):
+        forbidden_np[base:limit] = 0                        # wipe this process's last row's marks
+        row: list[int] = []
+        for t, x in enumerate(starts):
+            hi = min(x + starts.step, limit)
+            if hi > base:
+                if peer and j:
+                    peer.wait((j - 1) // 2 * len(starts) + t + 1)   # the peer's step t of row j - 1
+                x = max(x, base)
+                forbidden_np[x:hi] |= taken[x:hi]
+                k = len(row)
+                _extend_row(forbidden, row, terms, x, hi)
+                index = terms[k:len(row)]
+                taken[index] = 1
+                assignment[index] = j
+            if peer:
+                peer.step_done()
+        if not row:
             return
-        row = _fill_row(forbidden, start, terms)
-        index = terms[:len(row)]
-        taken[index] = True
-        yield row, index
+        if rows is not None:
+            rows.append(tuple(row))
+        base = row[0]
+
+
+def _placement(limit: int) -> list[int] | None:
+    """The CPUs to share the rows of a sieve below limit over, or None to sieve alone.
+
+    Two processes pay only from _TWO_PROCESSES_FROM values on, with a CPU
+    each, and only in the process that imported this module: a forked worker
+    (verify's pool) already shares the CPUs with its siblings.
+    """
+    if limit < _TWO_PROCESSES_FROM or os.getpid() != _HOME or not hasattr(os, "fork"):
+        return None
+    affinity = getattr(os, "sched_getaffinity", None)       # CPython has it on Linux only
+    cpus = sorted(affinity(0)) if affinity else []
+    return cpus if len(cpus) >= 2 else None
+
+
+def _assign(limit: int, last: int, rows: list[tuple[int, ...]] | None = None) -> np.ndarray:
+    """Sieve rows 0..last below limit and no further: the row of each value.
+
+    A value in a later row reads -1.  rows, if given, receives the rows when
+    this process fills them all, and stays empty when a child fills some.
+    Where _placement allows, a forked child fills the odd rows on the other
+    CPUs while this thread, pinned to the first CPU, fills the even ones; the
+    child is reaped before this returns or raises, and this thread's CPUs
+    are restored.
+    """
+    import mmap
+
+    import numpy as np
+
+    # anonymous shared memory: what a forked child writes lands here too.  Far
+    # fewer than 2**15 rows open below any limit that fits in memory.
+    shared = mmap.mmap(-1, 3 * limit)
+    assignment = np.frombuffer(shared, dtype=np.int16, count=limit)
+    taken = np.frombuffer(shared, dtype=np.uint8, offset=2 * limit)
+    assignment[:] = -1
+    cpus = _placement(limit)
+    if cpus is None:
+        _fill_rows(assignment, taken, 0, last, None, rows)
+        return assignment
+    from_parent, to_child = os.pipe()
+    from_child, to_parent = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (from_parent, to_child, from_child, to_parent):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(to_child)
+        os.close(from_child)
+        code = 1
+        try:
+            os.sched_setaffinity(0, cpus[1:])
+            _fill_rows(assignment, taken, 1, last, _Peer(from_parent, to_parent))
+            while os.read(from_parent, 4096):       # hold the pipes open until the parent is done
+                pass
+            code = 0
+        except BaseException:               # the child ends here whatever it raised
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    os.close(from_parent)
+    os.close(to_parent)
+    try:
+        # a freshly forked busy child would share this CPU for hundreds of ms
+        os.sched_setaffinity(0, cpus[:1])
+        _fill_rows(assignment, taken, 0, last, _Peer(from_child, to_child))
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.sched_setaffinity(0, cpus)
+        os.close(to_child)                  # the child reads to the end of its pipe, then exits
+        _, status = os.waitpid(pid, 0)
+        os.close(from_child)
+    if status:
+        raise RuntimeError(f"the second sieve process failed (wait status {status})")
+    return assignment
 
 
 def build_partition(limit: int) -> GreedyPartition:
@@ -143,11 +293,11 @@ def build_partition(limit: int) -> GreedyPartition:
         raise ValueError(f"limit must be >= 1, got {limit}")
     import numpy as np
 
-    assignment = np.full(limit, -1, dtype=np.int32)         # -1: in no row yet
     rows: list[tuple[int, ...]] = []
-    for row, index in _rows(limit):
-        assignment[index] = len(rows)
-        rows.append(tuple(row))
+    assignment = _assign(limit, limit, rows)
+    if not rows:                            # a second process filled the odd rows: read all back
+        by_row = np.argsort(assignment, kind="stable")          # each row in value order
+        rows = [tuple(r.tolist()) for r in np.split(by_row, np.cumsum(np.bincount(assignment))[:-1])]
     return GreedyPartition(
         bound=limit,
         rows=tuple(rows),
@@ -164,10 +314,9 @@ def sieve_row(limit: int, row: int) -> tuple[int, ...]:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if row < 0:
         raise ValueError(f"row must be >= 0, got {row}")
-    for i, (terms, _) in enumerate(_rows(limit)):
-        if i == row:
-            return tuple(terms)
-    return ()
+    import numpy as np
+
+    return tuple(np.flatnonzero(_assign(limit, row) == row).tolist())
 
 
 def cross_sequence(partition: GreedyPartition, count: int) -> list[int]:

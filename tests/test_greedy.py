@@ -1,11 +1,14 @@
 """The greedy sieve into 3-free rows."""
 
+import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stanleygrid import greedy, grid
+from stanleygrid import greedy, grid, verify
 from stanleygrid.greedy import (
     InsufficientRangeError,
     build_partition,
@@ -185,13 +188,15 @@ def test_sieve_row_stops_at_its_row(monkeypatch, row):
     num_rows = build_partition(3**7).num_rows
     assert num_rows == 27
     starts = []
-    fill = greedy._fill_row
+    extend = greedy._extend_row
 
-    def spy(forbidden, n, terms):
-        starts.append(n)
-        return fill(forbidden, n, terms)
+    def spy(forbidden, row, terms, x, hi):
+        opens = not row
+        extend(forbidden, row, terms, x, hi)
+        if opens and row:
+            starts.append(row[0])
 
-    monkeypatch.setattr(greedy, "_fill_row", spy)
+    monkeypatch.setattr(greedy, "_extend_row", spy)
     got = sieve_row(3**7, row)
     assert len(starts) == min(row + 1, num_rows)
     if row < num_rows:
@@ -234,3 +239,166 @@ def test_first_terms_rejects_negative_count(part729):
     with pytest.raises(ValueError):
         cross_sequence(part729, -1)
     assert cross_sequence(part729, 0) == []
+
+
+# -- the rows in two processes -------------------------------------------------
+
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+two_cpus = pytest.mark.skipif(len(CPUS) < 2 or not hasattr(os, "fork"),
+                              reason="the sieve shares its rows only with fork and two CPUs")
+BREAK_EVEN = greedy._TWO_PROCESSES_FROM
+
+
+def _alone(monkeypatch, sieve, *args):
+    """sieve(*args) with every row filled in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(greedy, "_TWO_PROCESSES_FROM", math.inf)
+        return sieve(*args)
+
+
+def _forks(monkeypatch):
+    """The pids of the processes forked from here on."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_process_left(cpus=CPUS):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cpus
+@pytest.mark.parametrize("limit", [BREAK_EVEN - 1, BREAK_EVEN, 3**10, 3**11,
+                                   first_term_bound(73), first_term_bound(89)])
+def test_two_processes_sieve_what_one_does(monkeypatch, limit):
+    alone = _alone(monkeypatch, build_partition, limit)
+    pids = _forks(monkeypatch)
+    part = build_partition(limit)
+    assert part.rows == alone.rows
+    assert part._assignment.dtype == alone._assignment.dtype
+    assert np.array_equal(part._assignment, alone._assignment)
+    n = alone.num_rows
+    for r in (0, n // 2, n - 1, n, n + 1):
+        assert sieve_row(limit, r) == alone.row(r), r
+    assert len(pids) == (6 if limit >= BREAK_EVEN else 0)
+    _no_process_left()
+
+
+@two_cpus
+def test_two_processes_at_every_limit_up_to_243(monkeypatch):
+    # below the break-even only when asked: a row of one to eight steps of one value or more
+    for limit in range(1, 3**5 + 1):
+        alone = _alone(monkeypatch, build_partition, limit)
+        monkeypatch.setattr(greedy, "_TWO_PROCESSES_FROM", 1)
+        part = build_partition(limit)
+        assert part.rows == alone.rows, limit
+        assert np.array_equal(part._assignment, alone._assignment), limit
+        if limit % 27 == 0:
+            for r in range(alone.num_rows + 2):
+                assert sieve_row(limit, r) == alone.row(r), (limit, r)
+    _no_process_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("slow", ["parent", "child"])
+def test_two_processes_agree_whichever_runs_behind(monkeypatch, slow):
+    # one side sleeps after each step, so the other waits at every step, or never
+    alone = _alone(monkeypatch, build_partition, 3**7)
+    home = os.getpid()
+    step_done = greedy._Peer.step_done
+
+    def late(peer):
+        if (os.getpid() == home) == (slow == "parent"):
+            time.sleep(0.0005)
+        step_done(peer)
+
+    monkeypatch.setattr(greedy._Peer, "step_done", late)
+    monkeypatch.setattr(greedy, "_TWO_PROCESSES_FROM", 1)
+    part = build_partition(3**7)
+    assert part.rows == alone.rows
+    assert np.array_equal(part._assignment, alone._assignment)
+    _no_process_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("row", [0, 1, 2, 46, 91, 92, 93, 94])
+def test_two_processes_stop_at_their_row(row):
+    full = build_partition(3**10)._assignment
+    assert full.max() == 92
+    assignment = greedy._assign(3**10, row)
+    # no value is given a row past the one asked for
+    assert np.array_equal(assignment, np.where(full <= row, full, -1))
+
+
+@two_cpus
+@pytest.mark.parametrize("failing_row", [1, 41])
+def test_a_failing_child_fails_the_sieve_and_leaves_no_process(monkeypatch, capfd, failing_row):
+    # the child fills the odd rows; the parent waits for none of row 41, the last one
+    home = os.getpid()
+    first = int(represent(2 * failing_row), 3)
+    extend = greedy._extend_row
+
+    def fails_in_the_child(forbidden, row, terms, x, hi):
+        if os.getpid() != home and row and row[0] == first:
+            raise ZeroDivisionError("in the child")
+        extend(forbidden, row, terms, x, hi)
+
+    monkeypatch.setattr(greedy, "_extend_row", fails_in_the_child)
+    with pytest.raises(RuntimeError, match="sieve process"):
+        sieve_row(3**10, 41)
+    assert "ZeroDivisionError: in the child" in capfd.readouterr().err
+    _no_process_left()
+
+
+@two_cpus
+def test_a_failing_parent_kills_its_child(monkeypatch, capfd):
+    home = os.getpid()
+    extend = greedy._extend_row
+
+    def fails_in_the_parent(forbidden, row, terms, x, hi):
+        if os.getpid() == home and x > 0:
+            raise ZeroDivisionError("in the parent")
+        extend(forbidden, row, terms, x, hi)
+
+    monkeypatch.setattr(greedy, "_extend_row", fails_in_the_parent)
+    with pytest.raises(ZeroDivisionError, match="in the parent"):
+        sieve_row(3**10, 40)
+    # killed, the child reports nothing of its own
+    assert capfd.readouterr().err == ""
+    _no_process_left()
+
+
+@two_cpus
+def test_a_sieve_leaves_no_process_and_restores_the_cpus(monkeypatch):
+    pids = _forks(monkeypatch)
+    assert len(build_partition(3**10).rows) == 93
+    assert sieve_row(3**10, 40)[0] == int(represent(80), 3)
+    assert len(pids) == 2
+    _no_process_left()
+
+
+@two_cpus
+def test_verify_workers_sieve_alone(monkeypatch):
+    home = os.getpid()
+    fork = os.fork
+
+    def from_home_only():
+        assert os.getpid() == home, "a verify worker forked"
+        return fork()
+
+    monkeypatch.setattr(os, "fork", from_home_only)
+    # theorem1 sieves first_term_bound(73) = 50392 values in a worker
+    assert first_term_bound(73) >= BREAK_EVEN
+    report = verify.run_suite("all", max_value=2187, max_rows=73)
+    assert report.passed and report.processes == 2
+    _no_process_left()
