@@ -220,8 +220,8 @@ def suite_radix(max_value: int) -> list[CheckResult]:
 def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
     """rows-are-3free and skips-are-forced, in one pass over the sieve's rows.
 
-    For row j, every pair a < b of its terms gives c = 2b - a (rows increase,
-    as rows-partition-the-range checks).  The row is 3-free if no c lies in
+    For row j, every pair a < b of its terms gives c = 2b - a (a row is read
+    off the value -> row map in increasing order).  The row is 3-free if no c lies in
     row j, and every n that the sieve put in a later row must equal some c:
     n skipped row j only because a, b, n is an AP.
     A row's pairs go through numpy all at once: 2b - a for every a (down)
@@ -235,14 +235,13 @@ def _row_checks(part: greedy.GreedyPartition) -> list[CheckResult]:
 
     limit = part.bound
     owner = np.full(2 * limit, -1, dtype=np.int32)    # row of each value; every c < 2 * limit
-    for j, terms in enumerate(part.rows):
-        owner[list(terms)] = j
+    owner[:limit] = part._assignment
     later = np.maximum(owner[:limit], 0)               # rows each value skipped; 0 if in none
     pairs = 0
     ap_fault = ""
     skip = None                                        # first unforced (n, j) in (n, j) order
-    for j, terms in enumerate(part.rows):
-        t = np.array(terms, dtype=np.int32)
+    for j in range(part.num_rows):
+        t = np.array(part.row(j), dtype=np.int32)
         upper = np.triu(np.ones((len(t), len(t)), dtype=bool), 1)
         c = (2 * t - t[:, None])[upper]
         if not ap_fault:
@@ -279,14 +278,8 @@ def suite_greedy(max_value: int) -> list[CheckResult]:
     limit = min(3**9, max_value)
     part = greedy.build_partition(limit)
 
-    held = {n: j for j, terms in enumerate(part.rows) for n in terms}
-    stray = next((n for n in range(limit) if held.get(n) != part.row_index(n)), None)
-    unordered = next(((j, a, b) for j, terms in enumerate(part.rows)
-                      for a, b in zip(terms, terms[1:]) if a >= b), None)
-    total = sum(len(r) for r in part.rows)
-    fault = (f"{stray} is missing from row {part.row_index(stray)}, its row" if stray is not None
-             else "row {} lists {} before {}".format(*unordered) if unordered is not None
-             else f"rows hold {total} values, not {limit}" if total != limit else "")
+    rowless = next((n for n, j in enumerate(part._assignment.tolist()) if j < 0), None)
+    fault = f"{rowless} is in no row" if rowless is not None else ""
     out.append(_result("rows-partition-the-range", not fault, limit, fault))
 
     out += _row_checks(part)
@@ -708,11 +701,11 @@ def suite_theorem1(max_rows: int) -> list[CheckResult]:
 
     def row_fault(i: int) -> str:
         s = grid.cell(i, 0)
-        if not part.row(i):
+        terms = part.row(i)
+        if not terms:
             return f"row {i} never opened below {bound}"
-        first = part.row(i)[0]
-        if int(s, 3) != first:
-            return f"row {i}: sieve starts {first}, column 0 reads {s}"
+        if int(s, 3) != terms[0]:
+            return f"row {i}: sieve starts {terms[0]}, column 0 reads {s}"
         if s != radix.represent(2 * i):
             return f"row {i}: column 0 is {s}, (2i)_3/2 is {radix.represent(2 * i)}"
         return ""

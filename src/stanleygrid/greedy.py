@@ -9,6 +9,10 @@ it is fixed, and no later row can change it.  So the sieve fills one row at
 a time through a "forbidden" byte array, and sieve_row stops as soon as the
 row it was asked for is filled.
 
+The sieve's one output is the row of each value, -1 for none, and
+build_partition returns it as a GreedyPartition: one stable argsort of it,
+made on first use, lists the values row by row, each row increasing.
+
 A row is scanned in steps over [x, hi).  At the start of a step the array
 holds, on [x, hi), 1 exactly at the values earlier rows took and at the
 row's own marks; when n enters the row, every value 2*n - a (a already in
@@ -47,6 +51,7 @@ from __future__ import annotations
 import bisect
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .radix import BASE_3_2, represent
@@ -72,15 +77,29 @@ class InsufficientRangeError(ValueError):
 
 @dataclass(frozen=True)
 class GreedyPartition:
-    """Result of sieving [0, bound): rows plus the value -> row map."""
+    """Sieved [0, bound): the row of each value, -1 for none.  Equality reads the bound alone."""
 
     bound: int
-    rows: tuple[tuple[int, ...], ...]
-    _assignment: np.ndarray = field(repr=False)
+    _assignment: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def _by_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): row i is order[starts[i]:starts[i + 1]]; values in no row sort first."""
+        import numpy as np
+
+        a = self._assignment
+        order = np.argsort(a, kind="stable")
+        return order, np.searchsorted(a[order], np.arange(a.max() + 2))
 
     def row(self, i: int) -> tuple[int, ...]:
         """Terms of row i below the bound (empty if the row never opened)."""
-        return self.rows[i] if 0 <= i < len(self.rows) else ()
+        order, starts = self._by_row
+        return tuple(order[starts[i]:starts[i + 1]].tolist()) if 0 <= i < self.num_rows else ()
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row, built afresh on each read."""
+        return tuple(map(self.row, range(self.num_rows)))
 
     def row_index(self, n: int) -> int:
         if not 0 <= n < self.bound:
@@ -93,7 +112,7 @@ class GreedyPartition:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self._by_row[1]) - 1
 
 
 def first_term_bound(count: int) -> int:
@@ -156,16 +175,15 @@ class _Peer:
 
 
 def _fill_rows(assignment: np.ndarray, taken: np.ndarray, first: int, last: int,
-               peer: _Peer | None, rows: list[tuple[int, ...]] | None = None) -> None:
+               peer: _Peer | None) -> None:
     """Fill rows first, first + stride, ... up to last, or up to the first that never opens.
 
     assignment holds the row of each value, -1 for none yet, and taken is 1
-    exactly where assignment is set; both receive each new term, and rows,
-    if given, each filled row.  Alone (no peer) this fills every row, each
-    in one step.  With a peer, which fills the rows in between, each row is
-    scanned in _STEPS steps, and a step over [x, hi) first waits for the
-    peer to finish that step of the row before: then every value below hi
-    that an earlier row took has its row.
+    exactly where assignment is set; both receive each new term.  Alone (no
+    peer) this fills every row, each in one step.  With a peer, which fills
+    the rows in between, each row is scanned in _STEPS steps, and a step
+    over [x, hi) first waits for the peer to finish that step of the row
+    before: then every value below hi that an earlier row took has its row.
     """
     import numpy as np
 
@@ -195,8 +213,6 @@ def _fill_rows(assignment: np.ndarray, taken: np.ndarray, first: int, last: int,
                 peer.step_done()
         if not row:
             return
-        if rows is not None:
-            rows.append(tuple(row))
         base = row[0]
 
 
@@ -214,15 +230,13 @@ def _placement(limit: int) -> list[int] | None:
     return cpus if len(cpus) >= 2 else None
 
 
-def _assign(limit: int, last: int, rows: list[tuple[int, ...]] | None = None) -> np.ndarray:
+def _assign(limit: int, last: int) -> np.ndarray:
     """Sieve rows 0..last below limit and no further: the row of each value.
 
-    A value in a later row reads -1.  rows, if given, receives the rows when
-    this process fills them all, and stays empty when a child fills some.
-    Where _placement allows, a forked child fills the odd rows on the other
-    CPUs while this thread, pinned to the first CPU, fills the even ones; the
-    child is reaped before this returns or raises, and this thread's CPUs
-    are restored.
+    A value in a later row reads -1.  Where _placement allows, a forked child
+    fills the odd rows on the other CPUs while this thread, pinned to the
+    first CPU, fills the even ones; the child is reaped before this returns
+    or raises, and this thread's CPUs are restored.
     """
     import mmap
 
@@ -236,16 +250,17 @@ def _assign(limit: int, last: int, rows: list[tuple[int, ...]] | None = None) ->
     assignment[:] = -1
     cpus = _placement(limit)
     if cpus is None:
-        _fill_rows(assignment, taken, 0, last, None, rows)
+        _fill_rows(assignment, taken, 0, last, None)
         return assignment
-    from_parent, to_child = os.pipe()
-    from_child, to_parent = os.pipe()
+    fds = list(os.pipe())
     try:
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in (from_parent, to_child, from_child, to_parent):
+        for fd in fds:
             os.close(fd)
         raise
+    from_parent, to_child, from_child, to_parent = fds
     if pid == 0:
         os.close(to_child)
         os.close(from_child)
@@ -291,18 +306,7 @@ def build_partition(limit: int) -> GreedyPartition:
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    import numpy as np
-
-    rows: list[tuple[int, ...]] = []
-    assignment = _assign(limit, limit, rows)
-    if not rows:                            # a second process filled the odd rows: read all back
-        by_row = np.argsort(assignment, kind="stable")          # each row in value order
-        rows = [tuple(r.tolist()) for r in np.split(by_row, np.cumsum(np.bincount(assignment))[:-1])]
-    return GreedyPartition(
-        bound=limit,
-        rows=tuple(rows),
-        _assignment=assignment,
-    )
+    return GreedyPartition(limit, _assign(limit, limit))
 
 
 def sieve_row(limit: int, row: int) -> tuple[int, ...]:
@@ -329,4 +333,5 @@ def cross_sequence(partition: GreedyPartition, count: int) -> list[int]:
             f"only {partition.num_rows} rows opened below {partition.bound}, not {count}",
             required_bound=need,
         )
-    return [r[0] for r in partition.rows[:count]]
+    order, starts = partition._by_row       # the sieve leaves no row below num_rows empty
+    return order[starts[:count]].tolist()

@@ -124,11 +124,8 @@ def test_cross_both_exits_1_where_sieve_and_grid_disagree(capsys, monkeypatch):
 
 def test_cross_exits_3_where_the_sieve_opens_too_few_rows(capsys, monkeypatch):
     # first_term_bound(5) is 24, below which a right sieve opens 5 rows
-    real = greedy.build_partition
-
     def three_rows(limit):
-        part = real(limit)
-        return greedy.GreedyPartition(part.bound, part.rows[:3], part._assignment)
+        return greedy.GreedyPartition(limit, greedy._assign(limit, 2))
     monkeypatch.setattr(greedy, "build_partition", three_rows)
     code, out, err = run_cli(capsys, "cross", "--count", "5", "--method", "greedy")
     assert (code, out) == (3, "")

@@ -1,5 +1,7 @@
 """The greedy sieve into 3-free rows."""
 
+import dataclasses
+import errno
 import math
 import os
 import time
@@ -10,6 +12,7 @@ import pytest
 
 from stanleygrid import greedy, grid, verify
 from stanleygrid.greedy import (
+    GreedyPartition,
     InsufficientRangeError,
     build_partition,
     cross_sequence,
@@ -235,6 +238,36 @@ def test_every_row_matches_the_digit_map():
         assert part.row_index(n) == grid.row_of(represent(n, BASE_3)), n
 
 
+def test_rows_are_read_off_the_row_of_each_value():
+    # rows 0-2 by hand, their values out of order; 1, 6 and 9 are in no row
+    assignment = np.array([0, -1, 2, 0, 1, 2, -1, 1, 0, -1, 2], dtype=np.int16)
+    part = GreedyPartition(len(assignment), assignment)
+    assert [f.name for f in dataclasses.fields(GreedyPartition)] == ["bound", "_assignment"]
+    assert part.num_rows == 3
+    assert [part.row(i) for i in range(-1, 5)] == [(), (0, 3, 8), (4, 7), (2, 5, 10), (), ()]
+    assert part.rows == tuple(part.row(i) for i in range(3)) == ((0, 3, 8), (4, 7), (2, 5, 10))
+    assert [part.row_index(n) for n in range(len(assignment))] == assignment.tolist()
+    assert cross_sequence(part, 3) == [0, 4, 2]
+    with pytest.raises(InsufficientRangeError):
+        cross_sequence(part, 4)
+    assert GreedyPartition(3, np.full(3, -1, dtype=np.int16)).rows == ()
+
+
+@pytest.mark.parametrize("row", [0, 2, 46])
+def test_a_partial_sieve_reads_as_sieve_row(row):
+    part = GreedyPartition(3**10, greedy._assign(3**10, row))
+    assert part.num_rows == row + 1
+    assert part.row(row) == sieve_row(3**10, row)
+    assert all(a < b for r in part.rows for a, b in zip(r, r[1:]))
+
+
+def test_a_partition_is_its_bound():
+    a, b = build_partition(100), build_partition(100)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_partition(99)
+    assert repr(a) == "GreedyPartition(bound=100)"
+
+
 def test_first_terms_rejects_negative_count(part729):
     with pytest.raises(ValueError):
         cross_sequence(part729, -1)
@@ -384,6 +417,26 @@ def test_a_sieve_leaves_no_process_and_restores_the_cpus(monkeypatch):
     assert len(build_partition(3**10).rows) == 93
     assert sieve_row(3**10, 40)[0] == int(represent(80), 3)
     assert len(pids) == 2
+    _no_process_left()
+
+
+@two_cpus
+def test_a_failing_second_pipe_leaves_no_descriptor_open(monkeypatch):
+    pipe = os.pipe
+    calls = []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "pipe", second_fails)
+    with pytest.raises(OSError) as exc:
+        build_partition(BREAK_EVEN)
+    assert exc.value.errno == errno.EMFILE and len(calls) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == before
     _no_process_left()
 
 
