@@ -27,7 +27,7 @@ peculiar step relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grid import GridCoord, MalformedStringError, _check_ternary, _coord_of, _is_ternary, _step, _zoom, cell
 from .radix import canonicalize
@@ -37,8 +37,7 @@ class WindowShapeError(ValueError):
     """A window cannot be zoomed because its shape is not 3r x 2c."""
 
 
-@dataclass(frozen=True)
-class HalfZ:
+class HalfZ(NamedTuple):
     """One halfZ triple: kind, anchor, nesting level, members, shared prefix."""
 
     kind: str                       # "upper" | "lower"

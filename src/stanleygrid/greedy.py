@@ -44,13 +44,19 @@ So the calling thread is pinned to the first CPU it may use and the child
 to the rest, and the thread's CPUs are restored afterwards.  Only the
 process that imported this module forks: a forked worker of verify's pool
 already shares the CPUs with its siblings, so it sieves alone.
+
+A fork copies only the calling thread.  The sieve forks after numpy is
+loaded, so after numpy's OpenBLAS has started its thread; OpenBLAS's fork
+handler stops that thread before the fork, and no thread of the package's
+runs then.  The child runs only numpy slices and scatters, bytearray.find and
+os calls (pipe reads and writes, its affinity, its exit), and no BLAS.  A
+test in tests/test_verify.py counts the threads at each fork.
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -75,12 +81,29 @@ class InsufficientRangeError(ValueError):
         self.required_bound = required_bound
 
 
-@dataclass(frozen=True)
 class GreedyPartition:
-    """Sieved [0, bound): the row of each value, -1 for none.  Equality reads the bound alone."""
+    """Sieved [0, bound): the row of each value, -1 for none.  Read-only; equality,
+    hash and repr read the bound alone."""
 
-    bound: int
-    _assignment: np.ndarray = field(repr=False, compare=False)
+    def __init__(self, bound: int, _assignment: np.ndarray):
+        vars(self).update(bound=bound, _assignment=_assignment)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bound == other.bound
+
+    def __hash__(self):
+        return hash((self.bound,))
+
+    def __repr__(self) -> str:
+        return f"GreedyPartition(bound={self.bound!r})"
 
     @cached_property
     def _by_row(self) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -198,8 +197,7 @@ def row_of(w: str) -> int:
     return _coord_of(w)[0]
 
 
-@dataclass(frozen=True)
-class GridWindow:
+class GridWindow(NamedTuple):
     """A finite top-left window of the grid."""
 
     rows: int

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 _DIGITS = "0123456789"
@@ -54,23 +53,38 @@ class InvalidDigitError(ValueError):
     """A digit character is outside the alphabet of the base."""
 
 
-@dataclass(frozen=True)
 class RationalBase:
     """A base p/q with p > q >= 1 and gcd(p, q) = 1.
 
-    Digits are 0 .. p-1.  q = 1 gives ordinary integer base p.
+    Digits are 0 .. p-1.  q = 1 gives ordinary integer base p.  A base is
+    read-only, and equal to another of the same p and q.
     """
 
-    p: int
-    q: int = 1
+    def __init__(self, p: int, q: int = 1):
+        if p <= q or q < 1:
+            raise ValueError(f"need p > q >= 1, got {p}/{q}")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
+        if p > len(_DIGITS):
+            raise ValueError(f"p = {p}: digits beyond 9 have no single-character form")
+        vars(self).update(p=p, q=q)
 
-    def __post_init__(self):
-        if self.p <= self.q or self.q < 1:
-            raise ValueError(f"need p > q >= 1, got {self.p}/{self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"p/q must be in lowest terms, got {self.p}/{self.q}")
-        if self.p > len(_DIGITS):
-            raise ValueError(f"p = {self.p}: digits beyond 9 have no single-character form")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"RationalBase(p={self.p!r}, q={self.q!r})"
 
     @classmethod
     def parse(cls, text: str) -> "RationalBase":

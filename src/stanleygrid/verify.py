@@ -15,6 +15,14 @@ stands, replaced attributes included (the tests swap functions for
 mutants), and re-imports nothing.  `run_suite` loads the checks and numpy
 before it forks, so each worker has them already; a spawned child would
 import the package and numpy anew, about 80 ms, and lose the replacements.
+
+A fork copies only the calling thread.  A worker runs the suites and
+nothing else: the checks and the package code under them, numpy included.
+The pool forks every worker before it starts threads of its own, and after
+numpy has started OpenBLAS's thread, which OpenBLAS's fork handler stops
+before each fork.  The suites call no BLAS: their matrix products are
+int64, which numpy computes without it.  A test in tests/test_verify.py
+counts the threads at each fork.
 """
 
 from __future__ import annotations
@@ -23,8 +31,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import greedy, radix
 
@@ -43,10 +50,9 @@ class CapExceededError(RuntimeError):
     """A requested sweep size exceeds the configured safety cap."""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
-    results: list[CheckResult] = field(default_factory=list)
+    results: list[CheckResult]
     duration_s: float = 0.0
     processes: int = 1                 # processes that ran suites
 

@@ -27,7 +27,7 @@ So witness() locates only x.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fractal import locate
 from .grid import GridCoord, _coord_of, _is_ternary, _zoom
@@ -51,8 +51,7 @@ TAGS = frozenset({TAG_DEGENERATE, TAG_APPEND_EVEN, TAG_APPEND_ODD, TAG_KEEP0, TA
                   TAG_SIMPLEST, TAG_ITERATIVE, TAG_PECULIAR})
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """Witnesses c <= d in row target_row for the exclusion of x."""
 
     x: str

@@ -521,10 +521,15 @@ LAZY_CHECKS_AND_RENDER = """
 import contextlib, io, sys
 import stanleygrid, stanleygrid.cli
 
+def loaded(*modules):
+    return " ".join(str(m in sys.modules) for m in modules)
+
+print(loaded("dataclasses", "inspect"))
+
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert stanleygrid.cli.main(list(argv)) == 0, argv
-    print(*(f"stanleygrid.{m}" in sys.modules for m in ("checks", "render")))
+    print(loaded("stanleygrid.checks", "stanleygrid.render"), "|", loaded("dataclasses", "inspect"))
 
 run("convert", "--value", "12")
 run("grid", "--rows", "6", "--cols", "4")
@@ -541,5 +546,9 @@ def test_only_verify_loads_the_checks_and_only_render_the_pictures():
     run = subprocess.run([sys.executable, "-c", LAZY_CHECKS_AND_RENDER], capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    # (checks loaded, render loaded) after each command
-    assert run.stdout.splitlines() == ["False False"] * 6 + ["False True", "True True"]
+    # (dataclasses, inspect) loaded after the import, then (checks, render | dataclasses,
+    # inspect) after each command: only the checks declare a dataclass, and inspect comes
+    # with numpy, which the greedy sieve is the first to load
+    assert run.stdout.splitlines() == (["False False"] + ["False False | False False"] * 4
+                                       + ["False False | False True"] * 2
+                                       + ["False True | False True", "True True | True True"])

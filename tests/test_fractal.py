@@ -7,7 +7,6 @@ at (2a, b), a lower one (3a+1, 2b+1), (3a+2, 2b), (3a+2, 2b+1) with its
 prefix at (2a+1, b).
 """
 
-import dataclasses
 import time
 import tracemalloc
 
@@ -312,4 +311,4 @@ def test_halfz_of_stops_zooming_at_the_origin():
     hz = halfz_of(5, 7, level=10**12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1
-    assert hz == dataclasses.replace(halfz_of(5, 7, level=60), level=10**12)
+    assert hz == halfz_of(5, 7, level=60)._replace(level=10**12)

@@ -1,6 +1,5 @@
 """The greedy sieve into 3-free rows."""
 
-import dataclasses
 import errno
 import math
 import os
@@ -242,7 +241,7 @@ def test_rows_are_read_off_the_row_of_each_value():
     # rows 0-2 by hand, their values out of order; 1, 6 and 9 are in no row
     assignment = np.array([0, -1, 2, 0, 1, 2, -1, 1, 0, -1, 2], dtype=np.int16)
     part = GreedyPartition(len(assignment), assignment)
-    assert [f.name for f in dataclasses.fields(GreedyPartition)] == ["bound", "_assignment"]
+    assert vars(part).keys() == {"bound", "_assignment"}       # no row is read yet
     assert part.num_rows == 3
     assert [part.row(i) for i in range(-1, 5)] == [(), (0, 3, 8), (4, 7), (2, 5, 10), (), ()]
     assert part.rows == tuple(part.row(i) for i in range(3)) == ((0, 3, 8), (4, 7), (2, 5, 10))
@@ -266,6 +265,9 @@ def test_a_partition_is_its_bound():
     assert a == b and hash(a) == hash(b)
     assert a != build_partition(99)
     assert repr(a) == "GreedyPartition(bound=100)"
+    with pytest.raises(AttributeError):
+        a.bound = 99
+    assert a.bound == 100
 
 
 def test_first_terms_rejects_negative_count(part729):

@@ -1,9 +1,12 @@
-"""Two lint rules on the package source, with the standard library's ast alone.
+"""Three lint rules on the package source, with the standard library's ast alone.
 
 - Every import binding is read by its module (`__init__.py`, which imports to
   re-export, and `from __future__ import annotations` are exempt).
 - Every module-level private function, class or constant is referenced by some
   module of the package.
+- Results are exact: true division (`/`), float literals and `float()` or
+  `round()` calls appear only in render.py's drawing.  The one exception is the
+  0.0 a wall-clock timing starts from (TIMINGS).
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "stanleygrid").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+DRAWING = "render.py"                    # the one module that works in floats
+TIMINGS = {"duration_s", "_last_lap"}    # names whose assigned 0.0 starts a timing
 
 
 def loads(node):
@@ -70,3 +75,39 @@ def test_every_private_definition_is_referenced():
               for node, private in private_definitions(tree)
               if not any(private in names for stmt, names in refs if stmt is not node)]
     assert not unused, f"private definitions nothing references: {unused}"
+
+
+def is_float(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def timing_starts(tree):
+    """The 0.0 literals in an assignment to one of TIMINGS."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id in TIMINGS for t in targets):
+                yield from (n for n in ast.walk(node.value) if is_float(n) and n.value == 0.0)
+
+
+def float_uses(tree):
+    """(line, what) of each true division, float literal and float() or round() call."""
+    starts = set(map(id, timing_starts(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "/"
+        elif is_float(node) and id(node) not in starts:
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "round"):
+            yield node.lineno, f"{node.func.id}()"
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != DRAWING])
+def test_floats_appear_only_in_the_drawing(name):
+    found = list(float_uses(TREES[name]))
+    assert not found, f"{name}: true division, float literal or float()/round() call: {found}"
+
+
+def test_the_float_rule_sees_the_drawing_and_the_timings():
+    assert {what for _, what in float_uses(TREES[DRAWING])} >= {"/", "round()", "1.2"}
+    assert [n.value for tree in TREES.values() for n in timing_starts(tree)] == [0.0] * 3

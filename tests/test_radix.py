@@ -280,3 +280,6 @@ def test_block_table_is_not_part_of_the_base_value():
     assert built.blocks is built.blocks                      # built once
     assert built == fresh and hash(built) == hash(fresh)
     assert repr(built) == "RationalBase(p=3, q=2)"
+    with pytest.raises(AttributeError):
+        built.q = 1
+    assert built.q == 2

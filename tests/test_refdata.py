@@ -5,6 +5,7 @@ import pytest
 from stanleygrid.radix import BASE_3, represent
 from stanleygrid.refdata import (
     BFileFormatError,
+    ReferenceSequence,
     bundled,
     bundled_ids,
     parse_bfile,
@@ -40,6 +41,17 @@ def test_bundled_offsets_and_lengths():
     assert len(bundled("A005836")) == 16
     assert len(bundled("A323398")) == 16
     assert len(bundled("A265316")) == 10
+
+
+def test_a_reference_sequence_is_a_read_only_value():
+    a, b = bundled("A005836"), bundled("a005836")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != ReferenceSequence("A005836", 0, a.terms)
+    assert repr(ReferenceSequence("A1", 0, ((0, 5),))) == (
+        "ReferenceSequence(sequence_id='A1', offset=0, terms=((0, 5),))")
+    with pytest.raises(AttributeError):
+        a.offset = 0
+    assert a.offset == 1
 
 
 def test_bundled_unknown():

@@ -2,7 +2,6 @@
 
 import bisect
 import collections
-import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -136,7 +135,7 @@ def replacing(key, value):
 def reversing_members(i, j):
     """A mutant maker for halfz_of: the halfZ of cell (i, j) lists its members in reverse."""
     def reverse(hz):
-        return dataclasses.replace(hz, members=hz.members[::-1])
+        return hz._replace(members=hz.members[::-1])
     return lambda real: lambda *a: reverse(real(*a)) if a == (i, j) else real(*a)
 
 
@@ -321,14 +320,15 @@ MUTANTS = [
      "from g = 1, sign -1 leaves h = -1"),
     # A024629 is the second bundled sequence; its b-file starts at index 0
     ("refdata", refdata, "bundled",
-     wrong_on(("A024629",), dataclasses.replace(refdata.bundled("A024629"), offset=1)),
+     wrong_on(("A024629",), refdata.ReferenceSequence("A024629", 1, refdata.bundled("A024629").terms)),
      "bundled-bfiles-load", 2, "A024629: empty or not starting at offset 1"),
     # a line of three fields is the second of the parser's two cases
     ("refdata", refdata, "parse_bfile", wrong_on(("0 1 2\n",), ((0, 1),)), "bfile-parser", 2,
      "parse_bfile('0 1 2\\n') returned ((0, 1),) and raised no BFileFormatError"),
     # A005836 is the first bundled sequence; its third index is left out
     ("refdata", refdata, "bundled",
-     wrong_on(("A005836",), dataclasses.replace(A005836, terms=A005836.terms[:2] + A005836.terms[3:])),
+     wrong_on(("A005836",), refdata.ReferenceSequence("A005836", A005836.offset,
+                                                      A005836.terms[:2] + A005836.terms[3:])),
      "bundled-bfiles-load", 1, "A005836: non-contiguous indices"),
     ("refdata", refdata, "parse_bfile", wrong_on((BFILE,), ((0, 5),)), "bfile-parser", 1,
      "a b-file with a comment and a blank line parses as ((0, 5),), not ((0, 5), (1, 7))"),
@@ -669,6 +669,41 @@ def test_the_workers_fork_after_numpy_is_loaded():
 
 def test_the_workers_fork_after_the_checks_are_loaded():
     assert fork_spy("stanleygrid.checks") == ["False", "[True] 2 True"]
+
+
+# a fresh interpreter: the OS threads of this process right after numpy's import, then
+# at each fork of a two-process sieve and of verify's pool
+THREADS_AT_FORK = """
+import os
+import numpy
+threads = lambda: len(os.listdir("/proc/self/task"))
+print(threads())
+from stanleygrid import greedy, verify
+fork, seen = os.fork, []
+def spy():
+    seen.append(threads())
+    return fork()
+os.fork = spy
+greedy.build_partition(greedy._TWO_PROCESSES_FROM)
+print(seen)
+seen.clear()
+assert verify.run_suite("all", max_value=3**7, max_rows=10).passed
+print(seen)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "fork")
+                    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs /proc/self/task, fork and two usable CPUs")
+def test_no_fork_sees_a_thread_numpy_did_not_start():
+    # a fork copies only the calling thread; the sieve's child and verify's workers rely
+    # on no other thread than numpy's own (OpenBLAS's, whose fork handlers it registers)
+    run = subprocess.run([sys.executable, "-c", THREADS_AT_FORK], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    after_numpy, sieve, pool = map(json.loads, run.stdout.splitlines())
+    assert sieve and pool, "a path did not fork"
+    assert max(sieve + pool) <= after_numpy, run.stdout
 
 
 def test_verify_names_the_suites_the_checks_run():
