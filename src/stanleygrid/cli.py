@@ -90,6 +90,9 @@ def cmd_verify(args) -> int:
     if args.timings:
         for r in report.results:
             print(f"check {r.name} took {r.duration_s:.3f}s", file=sys.stderr)
+        for span in report.timeline:
+            print(f"suite {span.suite} ran {span.start_s:.2f}-{span.end_s:.2f}s"
+                  f" in process {span.process}", file=sys.stderr)
         n = report.processes
         print(f"suite {report.suite} took {report.duration_s:.2f}s in {n} process{'es' * (n > 1)}",
               file=sys.stderr)
@@ -176,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rows", type=_numeral, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true",
-                   help="print each check's duration, then the total, to stderr")
+                   help="print each check's duration, each suite's span and process, "
+                        "then the total, to stderr")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("grid", help="print a top-left window of the grid")

@@ -123,8 +123,8 @@ def locate(w: str) -> GridCoord:
     Starting from the origin (whose halfZ chain is a fixed point), digit
     d picks the d-th member of the current cell's halfZ.  K levels of that
     nesting make one 3^K x 2^K block, so grid._coord_of descends K digits
-    per step, after one head-table step for the len(w) % K leading digits;
-    grid.cell is the inverse.
+    per step, the first block padded with leading zeros, which keep the
+    origin; grid.cell is the inverse.
     """
     _check_ternary(w)
     return GridCoord(*_coord_of(w))

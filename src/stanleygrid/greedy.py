@@ -60,7 +60,7 @@ import os
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .radix import BASE_3_2, represent
+from .radix import BASE_3_2, _ReadOnly, represent
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,29 +81,14 @@ class InsufficientRangeError(ValueError):
         self.required_bound = required_bound
 
 
-class GreedyPartition:
+class GreedyPartition(_ReadOnly):
     """Sieved [0, bound): the row of each value, -1 for none.  Read-only; equality,
     hash and repr read the bound alone."""
 
+    _fields = ("bound",)
+
     def __init__(self, bound: int, _assignment: np.ndarray):
         vars(self).update(bound=bound, _assignment=_assignment)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bound == other.bound
-
-    def __hash__(self):
-        return hash((self.bound,))
-
-    def __repr__(self) -> str:
-        return f"GreedyPartition(bound={self.bound!r})"
 
     @cached_property
     def _by_row(self) -> tuple[np.ndarray, np.ndarray]:

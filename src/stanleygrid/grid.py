@@ -9,11 +9,11 @@ The string <-> cell bijection runs through the halfZ nesting (see
 fractal): each digit of a string picks one cell of a 3 x 2 block, and
 zooming a cell out to the origin reads its digits back.  Since zooming
 out maps the grid onto itself, m digits pick one cell of a 3^m x 2^m
-block.  So a walk down takes the len(w) % K leading digits in one step of
-a head table and the rest K at a time through _DOWN, and cell zooms out
-K levels per step through _UP, which is _DOWN read backwards.  This module
-owns that block numbering: _step, the one-digit step, is its only
-definition; every table is built from it at import, and _zoom is its
+block.  So a walk down reads K digits per step through _DOWN, the first
+block padded with leading zeros, which keep the origin, and cell zooms
+out K levels per step through _UP, which is _DOWN read backwards.  This
+module owns that block numbering: _step, the one-digit step, is its only
+definition; both tables are built from it at import, and _zoom is its
 inverse.  fractal's halfZs and row values only call them.
 Both directions take time linear in the string length and keep no state,
 so the grid is the plain functions cell, row_of and window; the add-2
@@ -82,23 +82,15 @@ def _step(p: int, q: int, d: int) -> tuple[int, int]:
     return 3 * (p >> 1) + r, 2 * q + c
 
 
-def _coord_of(w: str, p: int = 0, q: int = 0) -> tuple[int, int]:
-    """(row, col) reached from the prefix cell (p, q) by appending w: where one
-    _step per digit would lead.
+def _coord_of(w: str) -> tuple[int, int]:
+    """(row, col) of the string w: where one _step per digit leads from the origin.
 
-    The m = len(w) % K leading digits take one step of _HEAD[m], and the
-    rest take one step of _DOWN per K digits, so no digit is walked on its
-    own.  Each step holds from every prefix cell, not only from the origin
-    (see the note at _HEAD), which witness._construct needs: it re-walks
-    from a prefix cell.  The origin is its own prefix, so a whole string
-    walks from there.
+    w is padded with leading zeros to whole K-digit blocks (they keep the
+    origin, as _step(0, 0, 0) is (0, 0)), and each block takes one _DOWN step.
     """
-    m = len(w) % K
-    if m:
-        r, c = _HEAD[m][p & ((1 << m) - 1)][w[:m]]
-        p = 3**m * (p >> m) + r
-        q = (q << m) + c
-    for i in range(m, len(w), K):
+    w = "0" * (-len(w) % K) + w
+    p = q = 0
+    for i in range(0, len(w), K):
         r, c = _DOWN[p & _COL_MASK][w[i:i + K]]
         p = _ROWS * (p >> K) + r
         q = (q << K) + c
@@ -116,28 +108,26 @@ def _zoom(i: int, j: int) -> tuple[int, int, int]:
     return 2 * a + k // 3, j >> 1, k % 3
 
 
-def _walks(p: int, m: int) -> dict[str, tuple[int, int]]:
-    """Each m-digit string -> the cell (L, B) it leads to from prefix cell (p, 0).
+def _walks(p: int) -> dict[str, tuple[int, int]]:
+    """Each K-digit string -> the cell (L, B) it leads to from prefix cell (p, 0).
 
     Walks the strings as a tree, one _step per digit.
     """
     ends = {"": (p, 0)}
-    for _ in range(m):
+    for _ in range(K):
         ends = {w + "012"[d]: _step(*end, d) for w, end in ends.items() for d in range(3)}
     return ends
 
 
-# _HEAD[m][p % 2^m][m digits] = (L, B) for 0 < m < K, and _DOWN[p % 2^K] the
-# same for m = K: appending the digits to any prefix cell (p, q) leads to
-# (3^m * (p >> m) + L, 2^m * q + B), for every p >= 0, not only p < 2^m
-# (witness re-walks from a prefix cell).  By induction on the steps: after
-# t < m of them the row is 3^t * 2^(m-t) * (p >> m) plus the row the walk
-# from (p % 2^m, 0) has reached, so it has that walk's parity, and the next
-# step, p -> 3 * (p >> 1) + r, keeps the form with t+1.  The column doubles
-# each step whatever the row, plus a bit that depends only on the row's
-# parity and the digit.
-_HEAD = {m: tuple(_walks(p, m) for p in range(2**m)) for m in range(1, K)}
-_DOWN = tuple(_walks(p, K) for p in range(2**K))
+# _DOWN[p % 2^K][K digits] = (L, B): appending the digits to any prefix cell
+# (p, q) leads to (3^K * (p >> K) + L, 2^K * q + B), for every p >= 0, not
+# only p < 2^K, so _coord_of can chain the steps.  By induction on the
+# steps: after t < K of them the row is 3^t * 2^(K-t) * (p >> K) plus the
+# row the walk from (p % 2^K, 0) has reached, so it has that walk's parity,
+# and the next step, p -> 3 * (p >> 1) + r, keeps the form with t+1.  The
+# column doubles each step whatever the row, plus a bit that depends only
+# on the row's parity and the digit.
+_DOWN = tuple(map(_walks, range(2**K)))
 
 
 def _inverse(down: tuple[dict[str, tuple[int, int]], ...]) -> tuple[tuple[tuple[int, str], ...], ...]:

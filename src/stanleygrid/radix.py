@@ -53,12 +53,45 @@ class InvalidDigitError(ValueError):
     """A digit character is outside the alphabet of the base."""
 
 
-class RationalBase:
+class _ReadOnly:
+    """Base of the package's read-only value types.
+
+    A subclass sets its attributes once, through vars(self), in __init__;
+    equality, hash and repr read the attributes its _fields names, in order.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({shown})"
+
+
+class RationalBase(_ReadOnly):
     """A base p/q with p > q >= 1 and gcd(p, q) = 1.
 
     Digits are 0 .. p-1.  q = 1 gives ordinary integer base p.  A base is
     read-only, and equal to another of the same p and q.
     """
+
+    _fields = ("p", "q")
 
     def __init__(self, p: int, q: int = 1):
         if p <= q or q < 1:
@@ -68,23 +101,6 @@ class RationalBase:
         if p > len(_DIGITS):
             raise ValueError(f"p = {p}: digits beyond 9 have no single-character form")
         vars(self).update(p=p, q=q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"RationalBase(p={self.p!r}, q={self.q!r})"
 
     @classmethod
     def parse(cls, text: str) -> "RationalBase":
@@ -146,10 +162,6 @@ BASE_3 = RationalBase(3)
 def canonicalize(w: str) -> str:
     """Strip leading zeros; the empty string collapses to "0"."""
     return w.lstrip("0") or "0"
-
-
-def is_canonical(w: str) -> bool:
-    return w == "0" or (len(w) > 0 and w[0] != "0")
 
 
 def _check_digits(w: str, base: RationalBase) -> None:

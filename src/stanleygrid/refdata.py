@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .radix import _ReadOnly
+
 _BUNDLED_OFFSETS = {
     "A024629": 0,   # n written in base 3/2
     "A005836": 1,   # integers with no 2 in base 3 (row 0)
@@ -22,33 +24,16 @@ class BFileFormatError(ValueError):
     """A b-file line is not an "index value" pair."""
 
 
-class ReferenceSequence:
+class ReferenceSequence(_ReadOnly):
     """A b-file prefix: its OEIS id, its first index and its (index, value) pairs.
 
     Read-only; its length is its number of terms.
     """
 
+    _fields = ("sequence_id", "offset", "terms")
+
     def __init__(self, sequence_id: str, offset: int, terms: tuple[tuple[int, int], ...]):
         vars(self).update(sequence_id=sequence_id, offset=offset, terms=terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.sequence_id, self.offset, self.terms)
-                == (other.sequence_id, other.offset, other.terms))
-
-    def __hash__(self):
-        return hash((self.sequence_id, self.offset, self.terms))
-
-    def __repr__(self) -> str:
-        return (f"ReferenceSequence(sequence_id={self.sequence_id!r}, offset={self.offset!r}, "
-                f"terms={self.terms!r})")
 
     @property
     def values(self) -> list[int]:

@@ -4,8 +4,8 @@ The checks themselves live in `checks`, one function per suite.  run_suite
 imports that module when it runs, so importing this one (as the package
 and the CLI do, for the caps) compiles none of the checks.  Reports carry
 no timestamps or timings, so repeated runs are byte-identical; wall-clock
-durations are kept separately on the report and on each check for callers
-that want them.
+durations, and when and in which process each suite ran, are kept
+separately on the report and on each check for callers that want them.
 
 The suites share no state, so `run_suite` runs several of them side by
 side, in forked worker processes, theorem1 first, and gathers their
@@ -50,11 +50,21 @@ class CapExceededError(RuntimeError):
     """A requested sweep size exceeds the configured safety cap."""
 
 
+class SuiteSpan(NamedTuple):
+    """When one suite ran, in seconds from run_suite's start, and in which of its processes."""
+
+    suite: str
+    start_s: float
+    end_s: float
+    process: int                       # 1 .. the report's processes
+
+
 class VerificationReport(NamedTuple):
     suite: str
     results: list[CheckResult]
     duration_s: float = 0.0
     processes: int = 1                 # processes that ran suites
+    timeline: tuple[SuiteSpan, ...] = ()   # one span per suite run, in suite order
 
     @property
     def passed(self) -> bool:
@@ -175,6 +185,11 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
                                             itertools.repeat(mr))))
     else:
         done = {suite: checks._run(suite, mv, mr) for suite in order}
-    results = [r for suite in SUITES if suite in done for r in done[suite]]
-    return VerificationReport(suite=name, results=results, duration_s=time.perf_counter() - t0,
-                              processes=workers)
+    duration = time.perf_counter() - t0
+    ran = [suite for suite in SUITES if suite in done]
+    index = {}                         # pid -> 1, 2, ... in the order the processes began a suite
+    for _, pid, start, _ in sorted(done.values(), key=lambda run: run[2]):
+        index.setdefault(pid, len(index) + 1)
+    timeline = tuple(SuiteSpan(s, done[s][2] - t0, done[s][3] - t0, index[done[s][1]]) for s in ran)
+    return VerificationReport(suite=name, results=[r for suite in ran for r in done[suite][0]],
+                              duration_s=duration, processes=workers, timeline=timeline)

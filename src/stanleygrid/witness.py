@@ -30,7 +30,7 @@ import json
 from typing import NamedTuple
 
 from .fractal import locate
-from .grid import GridCoord, _coord_of, _is_ternary, _zoom
+from .grid import GridCoord, _is_ternary, _step, _zoom
 from .radix import _read_int, canonicalize, to_decimal
 
 
@@ -196,8 +196,9 @@ def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, st
         if tag is not None:
             trace.append(tag)
             if tag == TAG_PECULIAR:
-                # minus 1: trailing 0s become 2s, the last nonzero digit drops by one; walk
-                # just those digits again (a leading 0 left behind keeps the cell)
+                # minus 1: trailing 0s become 2s, the last nonzero digit drops by one;
+                # zoom out past those digits and step down through the new ones (a
+                # leading 0 left behind keeps the cell, as _step(0, 0, 0) is the origin)
                 n = len(digits) - len(tails)
                 i = n - 1
                 while digits[i] == "0":
@@ -205,7 +206,8 @@ def _construct(x: str, at: GridCoord, j: int, trace: list[str]) -> tuple[str, st
                 digits[i:n] = [str(int(digits[i]) - 1)] + ["2"] * (n - 1 - i)
                 for _ in range(n - i):
                     p, q = _zoom(p, q)[:2]
-                p, q = _coord_of("".join(digits[i:n]), p, q)
+                for digit in digits[i:n]:
+                    p, q = _step(p, q, int(digit))
     y = canonicalize("".join(digits[:len(digits) - len(tails)]))
     trace.append(TAG_DEGENERATE)
     appended = "".join(reversed(tails))  # c's and d's digits alternate

@@ -128,19 +128,34 @@ def _one_digit_step(p, q, d):
     return 3 * (p // 2) + k // 2, 2 * q + k % 2
 
 
-def test_coord_of_matches_one_digit_walks_from_every_start():
-    # lengths 0..2K+1 give every head length 0..K-1 before zero, one and two _DOWN steps;
-    # starts p < 2^(K+1) cover every table row, each with two values of p >> K
-    starts = [(p, q) for p in range(2 ** (grid.K + 1)) for q in range(4)]
-    level = {"": starts}
+def test_coord_of_matches_one_digit_walks_from_the_origin():
+    # lengths 0..2K+1 give every count len(w) % K of leading digits before zero,
+    # one and two whole blocks
+    level = {"": (0, 0)}
     checked = 0
     for _ in range(2 * grid.K + 2):
-        for w, ends in level.items():
-            assert [grid._coord_of(w, p, q) for p, q in starts] == ends, w
-            checked += len(starts)
-        level = {w + "012"[d]: [_one_digit_step(p, q, d) for p, q in ends]
-                 for w, ends in level.items() for d in range(3)}
-    assert checked == len(starts) * sum(3**n for n in range(2 * grid.K + 2))
+        for w, end in level.items():
+            assert grid._coord_of(w) == end, w
+            checked += 1
+        level = {w + "012"[d]: _one_digit_step(*end, d) for w, end in level.items() for d in range(3)}
+    assert checked == sum(3**n for n in range(2 * grid.K + 2))
+
+
+def test_down_steps_are_k_one_digit_steps_from_every_prefix_cell():
+    # _coord_of chains the steps, so each must hold from every prefix cell (p, q),
+    # not only from (p % 2^K, 0); p < 2^(K+2) gives each table row four values of p >> K
+    K = grid.K
+    assert len(grid._DOWN) == 2**K
+    checked = 0
+    for p, q in itertools.product(range(2 ** (K + 2)), range(4)):
+        for digits in itertools.product(range(3), repeat=K):
+            end = p, q
+            for d in digits:
+                end = _one_digit_step(*end, d)
+            r, c = grid._DOWN[p % 2**K]["".join("012"[d] for d in digits)]
+            assert (3**K * (p >> K) + r, 2**K * q + c) == end, (p, q, digits)
+            checked += 1
+    assert checked == 2 ** (K + 2) * 4 * 3**K
 
 
 def test_cell_matches_one_level_zooms_over_two_blocks():

@@ -15,7 +15,7 @@ from stanleygrid.grid import (
     row_of,
     window,
 )
-from stanleygrid.radix import add_two, is_canonical
+from stanleygrid.radix import add_two, canonicalize
 
 CORNER = [
     ["0", "1", "10", "11", "100", "101"],
@@ -81,7 +81,7 @@ def _two_step_check(w):
     """The check as two tests: a {0,1,2}-string first, then no leading zero."""
     if not w or w.strip("012"):
         raise MalformedStringError(f"{w!r} is not a {{0,1,2}}-string")
-    if not is_canonical(w):
+    if w != canonicalize(w):
         raise MalformedStringError(f"{w!r} has a leading zero")
 
 

@@ -1,9 +1,12 @@
-"""Three lint rules on the package source, with the standard library's ast alone.
+"""Four lint rules on the package source, with the standard library's ast alone.
 
 - Every import binding is read by its module (`__init__.py`, which imports to
   re-export, and `from __future__ import annotations` are exempt).
 - Every module-level private function, class or constant is referenced by some
   module of the package.
+- Every module-level public function or class is referenced by another
+  statement of the package: a caller, or `__init__.py`'s re-export.  A name only
+  tests use is not part of the package.
 - Results are exact: true division (`/`), float literals and `float()` or
   `round()` calls appear only in render.py's drawing.  The one exception is the
   0.0 a wall-clock timing starts from (TIMINGS).
@@ -68,13 +71,28 @@ def test_every_import_is_read(name):
     assert not unused, f"{name}: imported but never read: {unused}"
 
 
+# what each top-level statement of the package refers to
+STATEMENT_REFS = [(stmt, references(stmt)) for tree in TREES.values() for stmt in tree.body]
+
+
+def referenced_elsewhere(node, name):
+    """Some top-level statement other than `node` refers to `name`: a function
+    calling itself is no reference."""
+    return any(name in names for stmt, names in STATEMENT_REFS if stmt is not node)
+
+
 def test_every_private_definition_is_referenced():
-    # what each top-level statement refers to; a function calling itself is no reference
-    refs = [(stmt, references(stmt)) for tree in TREES.values() for stmt in tree.body]
     unused = [(name, node.lineno, private) for name, tree in TREES.items()
-              for node, private in private_definitions(tree)
-              if not any(private in names for stmt, names in refs if stmt is not node)]
+              for node, private in private_definitions(tree) if not referenced_elsewhere(node, private)]
     assert not unused, f"private definitions nothing references: {unused}"
+
+
+def test_every_public_definition_is_referenced():
+    # a caller, or __init__.py's re-export: a name only tests use is not part of the package
+    unused = [(name, node.lineno, node.name) for name, tree in TREES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+              and not referenced_elsewhere(node, node.name)]
+    assert not unused, f"public definitions nothing in the package references: {unused}"
 
 
 def is_float(node):

@@ -76,12 +76,20 @@ def test_timings_give_one_stderr_line_per_check(capsys):
     assert code == 0 and out == SMALL_REPORT
     checks = [ln.split()[1] for ln in out.splitlines()[:-1]]
     lines = err.splitlines()
-    assert len(checks) == 38 and len(lines) == 39
+    suites = verify.SUITES[:-1]
+    assert len(checks) == 38 and len(lines) == 38 + len(suites) + 1
     times = [re.fullmatch(rf"check {re.escape(name)} took (\d+\.\d{{3}})s", ln)
              for name, ln in zip(checks, lines)]
     assert all(times), lines
     total = re.fullmatch(r"suite all took (\d+\.\d{2})s in (\d+) process(es)?", lines[-1])
     assert total and (total[3] is None) == (total[2] == "1")
+    # one line per suite, in suite order: when it ran, from the run's start, and where
+    spans = [re.fullmatch(rf"suite {name} ran (\d+\.\d{{2}})-(\d+\.\d{{2}})s in process (\d+)", ln)
+             for name, ln in zip(suites, lines[38:-1])]
+    assert all(spans), lines
+    for m in spans:
+        assert 0 <= float(m[1]) <= float(m[2]) <= float(total[1])
+        assert 1 <= int(m[3]) <= int(total[2])
     # Work shared by checks of a suite is charged to the first of them, so each
     # suite's checks add up to its time.  The suites run side by side in n
     # processes, so the checks add up to between the wall total (less the cost
@@ -89,6 +97,12 @@ def test_timings_give_one_stderr_line_per_check(capsys):
     # the printed figures.
     wall, n, spent = float(total[1]), int(total[2]), sum(float(m[1]) for m in times)
     assert n * wall + 0.02 >= spent >= wall - 0.05
+    # stdout was SMALL_REPORT, as without --timings, and --json prints the same either way
+    reports = []
+    for flags in ([], ["--timings"]):
+        assert cli.main(["verify", "--suite", "all", *SMALL, "--json", *flags]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def wrong_on(args, value):
@@ -539,7 +553,7 @@ def carry_faults(carry_length):
             ok = v2 == v1 + 2 ** (e1 + 1)
         else:
             ok = e2 == e1 + 1 and v2 == 2 * v1 + 2 ** (e1 + 2)
-        return "" if ok and radix.is_canonical(w2) else f"add_two({w}) = {w2}"
+        return "" if ok and w2 == radix.canonicalize(w2) else f"add_two({w}) = {w2}"
     return map(fault, checks._strings(carry_length))
 
 
@@ -547,7 +561,7 @@ def round_trip_faults(count):
     for base in (radix.BASE_3_2, radix.BASE_3, radix.RationalBase(5, 3)):
         for n in range(count):
             w = radix.represent(n, base)
-            ok = radix.evaluate(w, base) == n and radix.is_canonical(w)
+            ok = radix.evaluate(w, base) == n and w == radix.canonicalize(w)
             yield "" if ok else f"{n} in base {base} is {w}"
 
 

@@ -169,6 +169,27 @@ def test_oracle_not_applicable(part243):
         witness_oracle("1", 0, part243)
 
 
+@pytest.mark.parametrize("x, j, span", [("2001", 1, 2), ("20001", 1, 3), ("21001", 1, 2)])
+def test_peculiar_steps_that_rewalk_several_digits(monkeypatch, part243, x, j, span):
+    # the prefix loses 1 at the peculiar step, "20" -> "12", "200" -> "122" or
+    # "210" -> "202", so the loop zooms out past `span` digits and steps down
+    # through the new ones
+    zooms = []
+
+    def counting_zoom(i, k):
+        zooms.append((i, k))
+        return grid._zoom(i, k)
+    monkeypatch.setattr(witness_module, "_zoom", counting_zoom)
+    pair, trace = witness(x, j)
+    assert trace.count(TAG_PECULIAR) == 1 and len(zooms) == span
+    assert (pair.c, pair.d, trace) == _by_recursion(x, j)
+    c3, d3, x3 = pair.values
+    assert c3 < d3 < x3 and d3 - c3 == x3 - d3
+    # the sieve puts both in row j, where the oracle finds the pair with the least d
+    assert part243.row_index(c3) == part243.row_index(d3) == j
+    assert witness_oracle(x, j, part243).values[1] <= d3
+
+
 def test_json_record():
     pair, trace = witness("212", 1)
     doc = json.loads(pair.to_json(trace))
