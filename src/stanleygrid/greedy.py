@@ -26,31 +26,37 @@ numpy is imported inside the functions that sieve, so importing this module
 does not load it: only a sieve pays for numpy.
 
 Row j below hi depends only on rows 0..j-1 below hi, so from
-_TWO_PROCESSES_FROM values on two processes share the rows: a forked child
-fills the odd rows and this process the even ones, each row in _STEPS
-steps.  Before a step over [x, hi) of row j, a process waits until the
-other has finished that step of row j - 1; every value below hi that rows
-0..j-1 took then has its row.  The row of each value, and a byte per value
-taken, live in anonymous shared memory; each process keeps its own
-forbidden array and terms.  The processes report each finished step with
-one byte down a pipe, and end of file means the other process ended early.
-Alone, a process runs the same loop with one step per row.
+_TWO_PROCESSES_FROM values on, where this process may use two CPUs or more,
+two processes share the rows: a forked child fills the odd rows and this
+process the even ones, each row in _STEPS steps.  Before a step over
+[x, hi) of row j, a process waits until the other has finished that step
+of row j - 1; every value below hi that rows 0..j-1 took then has its row.
+The row of each value, and a byte per value taken, live in anonymous shared
+memory; each process keeps its own forbidden array and terms.  The
+processes report each finished step with one byte down a pipe, and end of
+file means the other process ended early.  Alone, a process runs the same
+loop with one step per row.  Only the process that imported this module
+forks: a forked worker of verify's pool already shares the CPUs with its
+siblings, so it sieves alone.
 
-The two processes need a CPU each, and the scheduler does not give it to
-them: on the 2-vCPU host this was measured on, a forked child that starts
-busy stays on its parent's CPU for hundreds of ms, so two busy processes
-got about half a CPU each and the pipeline ran no faster than one process.
-So the calling thread is pinned to the first CPU it may use and the child
-to the rest, and the thread's CPUs are restored afterwards.  Only the
-process that imported this module forks: a forked worker of verify's pool
-already shares the CPUs with its siblings, so it sieves alone.
+The two processes need a CPU each from the start, and the scheduler does
+not give it to them: a forked child that starts busy stays on its parent's
+CPU for a while.  On the 2-vCPU host this was measured on, two unpinned
+processes were slower than two pinned ones in each of 21 alternating runs
+at 20,000 to 59,049 values, and slower than one process.  So where the
+OS lets a thread choose its CPUs (Linux), the calling thread is pinned to
+the first CPU _cpus lists and the child to the rest, and the thread's CPUs
+are restored afterwards; elsewhere the scheduler places both.
 
-A fork copies only the calling thread.  The sieve forks after numpy is
-loaded, so after numpy's OpenBLAS has started its thread; OpenBLAS's fork
-handler stops that thread before the fork, and no thread of the package's
-runs then.  The child runs only numpy slices and scatters, bytearray.find and
-os calls (pipe reads and writes, its affinity, its exit), and no BLAS.  A
-test in tests/test_verify.py counts the threads at each fork.
+Both of the package's forks, this sieve's and verify's pool's, are safe
+for one reason.  A fork copies only the calling thread.  Both fork after
+numpy is loaded, so after numpy's OpenBLAS has started its thread;
+OpenBLAS's fork handler stops that thread before each fork, and no thread
+of the package's runs then.  No child calls BLAS: the sieve's child runs
+numpy slices and scatters, bytearray.find and os calls (pipe reads and
+writes, its CPUs, its exit), and a pool worker runs the checks, whose
+matrix products are int64, which numpy computes without BLAS.  A test in
+tests/test_verify.py counts the threads at each fork.
 """
 
 from __future__ import annotations
@@ -224,27 +230,26 @@ def _fill_rows(assignment: np.ndarray, taken: np.ndarray, first: int, last: int,
         base = row[0]
 
 
-def _placement(limit: int) -> list[int] | None:
-    """The CPUs to share the rows of a sieve below limit over, or None to sieve alone.
+def _cpus() -> list[int]:
+    """The CPUs this process may use, in order; one where Python cannot fork.
 
-    Two processes pay only from _TWO_PROCESSES_FROM values on, with a CPU
-    each, and only in the process that imported this module: a forked worker
-    (verify's pool) already shares the CPUs with its siblings.
+    Both forks read it: the sieve shares its rows over two or more, and
+    verify's pool takes one worker per CPU.
     """
-    if limit < _TWO_PROCESSES_FROM or os.getpid() != _HOME or not hasattr(os, "fork"):
-        return None
+    if not hasattr(os, "fork"):
+        return [0]
     affinity = getattr(os, "sched_getaffinity", None)       # CPython has it on Linux only
-    cpus = sorted(affinity(0)) if affinity else []
-    return cpus if len(cpus) >= 2 else None
+    return sorted(affinity(0)) if affinity else list(range(os.cpu_count() or 1))
 
 
 def _assign(limit: int, last: int) -> np.ndarray:
     """Sieve rows 0..last below limit and no further: the row of each value.
 
-    A value in a later row reads -1.  Where _placement allows, a forked child
-    fills the odd rows on the other CPUs while this thread, pinned to the
-    first CPU, fills the even ones; the child is reaped before this returns
-    or raises, and this thread's CPUs are restored.
+    A value in a later row reads -1.  From _TWO_PROCESSES_FROM values on, in
+    the process that imported this module and with two CPUs or more, a
+    forked child fills the odd rows on the other CPUs while this thread,
+    pinned to the first CPU, fills the even ones; the child is reaped before
+    this returns or raises, and this thread's CPUs are restored.
     """
     import mmap
 
@@ -256,10 +261,12 @@ def _assign(limit: int, last: int) -> np.ndarray:
     assignment = np.frombuffer(shared, dtype=np.int16, count=limit)
     taken = np.frombuffer(shared, dtype=np.uint8, offset=2 * limit)
     assignment[:] = -1
-    cpus = _placement(limit)
-    if cpus is None:
+    cpus = _cpus()
+    if limit < _TWO_PROCESSES_FROM or os.getpid() != _HOME or len(cpus) < 2:
         _fill_rows(assignment, taken, 0, last, None)
         return assignment
+    # CPython has sched_setaffinity on Linux only; elsewhere the scheduler places both
+    pin = getattr(os, "sched_setaffinity", None) or (lambda pid, cpus: None)
     fds = list(os.pipe())
     try:
         fds += os.pipe()
@@ -274,7 +281,7 @@ def _assign(limit: int, last: int) -> np.ndarray:
         os.close(from_child)
         code = 1
         try:
-            os.sched_setaffinity(0, cpus[1:])
+            pin(0, cpus[1:])
             _fill_rows(assignment, taken, 1, last, _Peer(from_parent, to_parent))
             while os.read(from_parent, 4096):       # hold the pipes open until the parent is done
                 pass
@@ -288,8 +295,8 @@ def _assign(limit: int, last: int) -> np.ndarray:
     os.close(from_parent)
     os.close(to_parent)
     try:
-        # a freshly forked busy child would share this CPU for hundreds of ms
-        os.sched_setaffinity(0, cpus[:1])
+        # a freshly forked busy child would share this CPU for a while
+        pin(0, cpus[:1])
         _fill_rows(assignment, taken, 0, last, _Peer(from_child, to_child))
     except BaseException:
         import signal
@@ -297,7 +304,7 @@ def _assign(limit: int, last: int) -> np.ndarray:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.sched_setaffinity(0, cpus)
+        pin(0, cpus)
         os.close(to_child)                  # the child reads to the end of its pipe, then exits
         _, status = os.waitpid(pid, 0)
         os.close(from_child)

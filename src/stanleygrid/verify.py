@@ -16,13 +16,9 @@ mutants), and re-imports nothing.  `run_suite` loads the checks and numpy
 before it forks, so each worker has them already; a spawned child would
 import the package and numpy anew, about 80 ms, and lose the replacements.
 
-A fork copies only the calling thread.  A worker runs the suites and
-nothing else: the checks and the package code under them, numpy included.
-The pool forks every worker before it starts threads of its own, and after
-numpy has started OpenBLAS's thread, which OpenBLAS's fork handler stops
-before each fork.  The suites call no BLAS: their matrix products are
-int64, which numpy computes without it.  A test in tests/test_verify.py
-counts the threads at each fork.
+A worker runs the suites and nothing else.  The pool forks every worker
+before it starts threads of its own; why the fork is safe is stated once,
+for both of the package's forks, in greedy's module docstring.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ class VerificationReport(NamedTuple):
     suite: str
     results: list[CheckResult]
     duration_s: float = 0.0
-    processes: int = 1                 # processes that ran suites
+    processes: int = 1                 # worker processes started; 1: the suites ran in this one
     timeline: tuple[SuiteSpan, ...] = ()   # one span per suite run, in suite order
 
     @property
@@ -125,18 +121,6 @@ def check_cap(what: str, amount: int, rows: bool = False) -> None:
         raise CapExceededError(f"{what} is {amount}, beyond {kind} {cap} (raise via {CAP_ENV_VAR})")
 
 
-def _workers(suites: int) -> int:
-    """Processes to run `suites` suites in: one per CPU this process may use, at
-    most one per suite, and only this one where Python cannot fork."""
-    affinity = getattr(os, "sched_getaffinity", None)     # CPython has it on Linux only
-    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, suites)
-    if workers < 2:
-        return 1
-    # imported here, not at the top: every importer of the package would pay their 13-18 ms
-    import multiprocessing
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
-
-
 def run_suite(name: str, max_value: int | None = None, max_rows: int | None = None) -> VerificationReport:
     """Run one suite (or "all") and return its report.
 
@@ -167,7 +151,7 @@ def run_suite(name: str, max_value: int | None = None, max_rows: int | None = No
     from . import checks
 
     order = [s for s in checks._START_ORDER if name in (s, "all")]
-    workers = _workers(len(order))
+    workers = min(len(greedy._cpus()), len(order))
     t0 = time.perf_counter()
     if workers > 1:
         import concurrent.futures

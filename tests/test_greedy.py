@@ -278,8 +278,8 @@ def test_first_terms_rejects_negative_count(part729):
 
 # -- the rows in two processes -------------------------------------------------
 
-CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-two_cpus = pytest.mark.skipif(len(CPUS) < 2 or not hasattr(os, "fork"),
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+two_cpus = pytest.mark.skipif(len(greedy._cpus()) < 2,
                               reason="the sieve shares its rows only with fork and two CPUs")
 BREAK_EVEN = greedy._TWO_PROCESSES_FROM
 
@@ -306,10 +306,11 @@ def _forks(monkeypatch):
     return pids
 
 
-def _no_process_left(cpus=CPUS):
+def _no_process_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == cpus
+    if CPUS is not None:
+        assert os.sched_getaffinity(0) == CPUS
 
 
 @two_cpus
@@ -419,6 +420,22 @@ def test_a_sieve_leaves_no_process_and_restores_the_cpus(monkeypatch):
     assert len(build_partition(3**10).rows) == 93
     assert sieve_row(3**10, 40)[0] == int(represent(80), 3)
     assert len(pids) == 2
+    _no_process_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the sieve shares its rows only with fork")
+def test_without_sched_getaffinity_the_cpu_count_decides(monkeypatch):
+    # as where Python can fork but not read or set a thread's CPUs (CPython has both on
+    # Linux only): os.cpu_count counts the CPUs, and the scheduler places both processes
+    alone = _alone(monkeypatch, build_partition, BREAK_EVEN)
+    with monkeypatch.context() as m:
+        m.delattr(os, "sched_getaffinity", raising=False)
+        m.delattr(os, "sched_setaffinity", raising=False)
+        m.setattr(os, "cpu_count", lambda: 2)
+        pids = _forks(m)
+        part = build_partition(BREAK_EVEN)
+    assert len(pids) == 1
+    assert np.array_equal(part._assignment, alone._assignment)
     _no_process_left()
 
 

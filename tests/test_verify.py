@@ -453,19 +453,18 @@ def test_without_sched_getaffinity_one_worker_runs_per_cpu(monkeypatch, capsys):
 
 
 def test_without_fork_the_suites_run_in_this_process(monkeypatch, capsys):
-    # as on Windows: no "fork" start method, and asking for one is a ValueError
-    real = multiprocessing.get_context
-
-    def get_context(method=None):
-        if method == "fork":
-            raise ValueError("cannot find context for 'fork'")
-        return real(method)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    # as on Windows: no os.fork, so neither verify's pool nor the sieve can fork
+    limit = greedy._TWO_PROCESSES_FROM
+    with monkeypatch.context() as m:
+        m.setattr(greedy, "_TWO_PROCESSES_FROM", limit + 1)
+        alone = greedy.build_partition(limit)._assignment.tolist()
+    monkeypatch.delattr(os, "fork")
     code = cli.main(["verify", "--suite", "all", *SMALL, "--timings"])
     out, err = capsys.readouterr()
     assert (code, out) == (0, SMALL_REPORT)
     assert err.endswith(" in 1 process\n")
+    # a fork would raise AttributeError; the sieve fills every row in this process
+    assert greedy.build_partition(limit)._assignment.tolist() == alone
 
 
 EXCEPTIONS = [
@@ -706,8 +705,7 @@ print(seen)
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "fork")
-                    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(greedy._cpus()) < 2,
                     reason="needs /proc/self/task, fork and two usable CPUs")
 def test_no_fork_sees_a_thread_numpy_did_not_start():
     # a fork copies only the calling thread; the sieve's child and verify's workers rely
