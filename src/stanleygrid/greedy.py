@@ -26,8 +26,8 @@ numpy is imported inside the functions that sieve, so importing this module
 does not load it: only a sieve pays for numpy.
 
 Row j below hi depends only on rows 0..j-1 below hi, so from
-_TWO_PROCESSES_FROM values on, where this process may use two CPUs or more,
-two processes share the rows: a forked child fills the odd rows and this
+_TWO_PROCESSES_FROM values on, where this process may use two CPUs or more
+and may choose a thread's CPUs (Linux), two processes share the rows: a forked child fills the odd rows and this
 process the even ones, each row in _STEPS steps.  Before a step over
 [x, hi) of row j, a process waits until the other has finished that step
 of row j - 1; every value below hi that rows 0..j-1 took then has its row.
@@ -41,12 +41,11 @@ siblings, so it sieves alone.
 
 The two processes need a CPU each from the start, and the scheduler does
 not give it to them: a forked child that starts busy stays on its parent's
-CPU for a while.  On the 2-vCPU host this was measured on, two unpinned
-processes were slower than two pinned ones in each of 21 alternating runs
-at 20,000 to 59,049 values, and slower than one process.  So where the
-OS lets a thread choose its CPUs (Linux), the calling thread is pinned to
-the first CPU _cpus lists and the child to the rest, and the thread's CPUs
-are restored afterwards; elsewhere the scheduler places both.
+CPU for a while, and two unpinned processes sieve slower than one (ROADMAP's
+"Sieve speed" note has the measurements).  So the calling thread is pinned
+to the first CPU _cpus lists and the child to the rest, and the thread's
+CPUs are restored afterwards; where a thread cannot choose its CPUs, the
+sieve runs alone.
 
 Both of the package's forks, this sieve's and verify's pool's, are safe
 for one reason.  A fork copies only the calling thread.  Both fork after
@@ -246,8 +245,8 @@ def _assign(limit: int, last: int) -> np.ndarray:
     """Sieve rows 0..last below limit and no further: the row of each value.
 
     A value in a later row reads -1.  From _TWO_PROCESSES_FROM values on, in
-    the process that imported this module and with two CPUs or more, a
-    forked child fills the odd rows on the other CPUs while this thread,
+    the process that imported this module, where a thread may choose its
+    CPUs and with two CPUs or more, a forked child fills the odd rows on the other CPUs while this thread,
     pinned to the first CPU, fills the even ones; the child is reaped before
     this returns or raises, and this thread's CPUs are restored.
     """
@@ -261,12 +260,11 @@ def _assign(limit: int, last: int) -> np.ndarray:
     assignment = np.frombuffer(shared, dtype=np.int16, count=limit)
     taken = np.frombuffer(shared, dtype=np.uint8, offset=2 * limit)
     assignment[:] = -1
-    cpus = _cpus()
-    if limit < _TWO_PROCESSES_FROM or os.getpid() != _HOME or len(cpus) < 2:
+    # CPython has sched_setaffinity on Linux only
+    if (limit < _TWO_PROCESSES_FROM or os.getpid() != _HOME
+            or not hasattr(os, "sched_setaffinity") or len(cpus := _cpus()) < 2):
         _fill_rows(assignment, taken, 0, last, None)
         return assignment
-    # CPython has sched_setaffinity on Linux only; elsewhere the scheduler places both
-    pin = getattr(os, "sched_setaffinity", None) or (lambda pid, cpus: None)
     fds = list(os.pipe())
     try:
         fds += os.pipe()
@@ -281,7 +279,7 @@ def _assign(limit: int, last: int) -> np.ndarray:
         os.close(from_child)
         code = 1
         try:
-            pin(0, cpus[1:])
+            os.sched_setaffinity(0, cpus[1:])
             _fill_rows(assignment, taken, 1, last, _Peer(from_parent, to_parent))
             while os.read(from_parent, 4096):       # hold the pipes open until the parent is done
                 pass
@@ -296,7 +294,7 @@ def _assign(limit: int, last: int) -> np.ndarray:
     os.close(to_parent)
     try:
         # a freshly forked busy child would share this CPU for a while
-        pin(0, cpus[:1])
+        os.sched_setaffinity(0, cpus[:1])
         _fill_rows(assignment, taken, 0, last, _Peer(from_child, to_child))
     except BaseException:
         import signal
@@ -304,7 +302,7 @@ def _assign(limit: int, last: int) -> np.ndarray:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        pin(0, cpus)
+        os.sched_setaffinity(0, cpus)
         os.close(to_child)                  # the child reads to the end of its pipe, then exits
         _, status = os.waitpid(pid, 0)
         os.close(from_child)

@@ -279,8 +279,9 @@ def test_first_terms_rejects_negative_count(part729):
 # -- the rows in two processes -------------------------------------------------
 
 CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-two_cpus = pytest.mark.skipif(len(greedy._cpus()) < 2,
-                              reason="the sieve shares its rows only with fork and two CPUs")
+two_cpus = pytest.mark.skipif(len(greedy._cpus()) < 2 or not hasattr(os, "sched_setaffinity"),
+                              reason="the sieve shares its rows only with fork, sched_setaffinity "
+                                     "and two CPUs")
 BREAK_EVEN = greedy._TWO_PROCESSES_FROM
 
 
@@ -424,17 +425,18 @@ def test_a_sieve_leaves_no_process_and_restores_the_cpus(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the sieve shares its rows only with fork")
-def test_without_sched_getaffinity_the_cpu_count_decides(monkeypatch):
+def test_without_sched_setaffinity_the_sieve_runs_alone(monkeypatch):
     # as where Python can fork but not read or set a thread's CPUs (CPython has both on
-    # Linux only): os.cpu_count counts the CPUs, and the scheduler places both processes
+    # Linux only): two unpinned processes sieve slower than one, so nothing forks
     alone = _alone(monkeypatch, build_partition, BREAK_EVEN)
     with monkeypatch.context() as m:
         m.delattr(os, "sched_getaffinity", raising=False)
         m.delattr(os, "sched_setaffinity", raising=False)
         m.setattr(os, "cpu_count", lambda: 2)
+        assert len(greedy._cpus()) == 2
         pids = _forks(m)
         part = build_partition(BREAK_EVEN)
-    assert len(pids) == 1
+    assert pids == []
     assert np.array_equal(part._assignment, alone._assignment)
     _no_process_left()
 
